@@ -11,8 +11,6 @@ from .benefits import (
     UpliftEstimate,
     apply_projection_margin,
     benefit_schedule,
-    error_reduction_benefit,
-    productivity_benefit,
     uplift_estimate,
 )
 from .costs import (
@@ -21,7 +19,6 @@ from .costs import (
     CostSchedule,
     OpexItem,
     amortize_capex,
-    apply_talent_premium,
     maintenance_opex,
     reserve_requirement,
     tco,

@@ -15,11 +15,9 @@ from typing import Mapping, Sequence
 
 from .distributions import (
     Point,
-    RngStream,
     Triangular,
     UncertainQuantity,
     mean,
-    sample,
     validate,
 )
 
@@ -111,32 +109,6 @@ def validate_item(item: BenefitItem, horizon: int | None = None) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def productivity_benefit(
-    freed_hours_per_year: UncertainQuantity,
-    loaded_cost_per_hour: float,
-    rng: RngStream | None = None,
-) -> float:
-    """Freed labor hours times fully-loaded hourly cost; analytic mean when no rng."""
-    if loaded_cost_per_hour < 0:
-        raise ValueError("loaded_cost_per_hour must be >= 0")
-    hours = mean(freed_hours_per_year) if rng is None else sample(freed_hours_per_year, rng)
-    return hours * loaded_cost_per_hour
-
-
-def error_reduction_benefit(
-    errors_avoided_per_year: UncertainQuantity,
-    cost_per_error: float,
-    rng: RngStream | None = None,
-) -> float:
-    """Avoided error count times per-error remediation cost."""
-    if cost_per_error < 0:
-        raise ValueError("cost_per_error must be >= 0")
-    errors = (
-        mean(errors_avoided_per_year) if rng is None else sample(errors_avoided_per_year, rng)
-    )
-    return errors * cost_per_error
-
-
 def uplift_estimate(ab: AbTestResult, confidence: float = 0.95) -> UpliftEstimate:
     """Incremental annual value from a two-arm experiment.
 
@@ -196,7 +168,10 @@ def default_margin(phase: str) -> float:
 
 
 def item_value_at(item: BenefitItem, year: int, base_value: float) -> float:
-    """Attribution-weighted value in a given year, decayed from the start year."""
+    """Attribution-weighted value in a given year, decayed from the start year.
+
+    ``base_value`` may be a float or a numpy column; it is never modified.
+    """
     if year < item.start_year or year > item.end_year:
         return 0.0
     value = base_value * item.attribution_factor
@@ -212,8 +187,11 @@ def benefit_schedule(
 ) -> list[float]:
     """Per-year gross benefits over the horizon.
 
-    ``values`` maps item id to one sampled annual value per iteration; when
-    omitted, analytic means are used.
+    ``values`` maps item id to its annual value: a float, or an equal-length
+    numpy column of one value per iteration, to which attribution and
+    erosion apply with the same operations in the same order.  A year that
+    no item reaches stays the float 0.0.  When omitted, analytic means are
+    used.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")

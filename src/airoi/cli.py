@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 from . import valuation as valuation_mod
-from .benefits import BenefitItem, item_value_at
+from .benefits import item_value_at
 from .config import (
     ActualsRecord,
     Diagnostic,
@@ -28,7 +28,7 @@ from .config import (
     load_config,
 )
 from .costs import schedule_csv_rows, tco as costs_tco
-from .distributions import percentile
+from .distributions import SEED_LIMIT, percentile
 from .engine import (
     IterationOutcome,
     Portfolio,
@@ -172,6 +172,9 @@ def _resolve_simulation(config: PortfolioConfig, args) -> SimulationConfig | Non
                 return None
     if iterations < 1:
         print(f"error: iterations must be >= 1, got {iterations}", file=sys.stderr)
+        return None
+    if not 0 <= seed < SEED_LIMIT:
+        print(f"error: seed must lie in [0, 2^64), got {seed}", file=sys.stderr)
         return None
     if workers is not None and workers < 1:
         print(f"error: workers must be >= 1, got {workers}", file=sys.stderr)
@@ -530,8 +533,7 @@ def _track_record_rows(
         item = benefit_items[item_id]
         base = analytic.benefit_values[item_id]
         annual = item_value_at(item, year, base)
-        factor = _decay_factor(item, year)
-        band_low, band_high = bands.get(("benefit", item_id), (annual, annual))
+        band_low, band_high = bands.get(("benefit", item_id), (base, base))
         rows.append(
             _variance_row(
                 period,
@@ -539,8 +541,8 @@ def _track_record_rows(
                 item_id,
                 annual / 4.0,
                 actual,
-                band_low * factor / 4.0,
-                band_high * factor / 4.0,
+                item_value_at(item, year, band_low) / 4.0,
+                item_value_at(item, year, band_high) / 4.0,
             )
         )
 
@@ -579,14 +581,6 @@ def _track_record_rows(
             )
         )
     return rows
-
-
-def _decay_factor(item: BenefitItem, year: int) -> float:
-    if year < item.start_year or year > item.end_year:
-        return 0.0
-    if item.erosion_rate > 0 and year > item.start_year:
-        return (1.0 - item.erosion_rate) ** (year - item.start_year)
-    return 1.0
 
 
 def _variance_row(

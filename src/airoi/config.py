@@ -23,6 +23,7 @@ from . import risk as risk_mod
 from .benefits import AbTestResult, BenefitItem
 from .costs import CapexItem, CostRules, OpexItem
 from .distributions import (
+    SEED_LIMIT,
     Lognormal,
     Pert,
     Point,
@@ -641,6 +642,10 @@ def parse_config(
         collector.error("simulation.iterations", f"must be >= 1, got {simulation.iterations!r}")
     if not isinstance(simulation.master_seed, int) or isinstance(simulation.master_seed, bool):
         collector.error("simulation.master_seed", "must be an integer")
+    elif not 0 <= simulation.master_seed < SEED_LIMIT:
+        collector.error(
+            "simulation.master_seed", f"must lie in [0, 2^64), got {simulation.master_seed}"
+        )
 
     portfolio = Portfolio(
         name=name,

@@ -9,10 +9,10 @@ reserves charged either as cash or as a carrying cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
-from .distributions import UncertainQuantity, mean, scaled, validate
+from .distributions import UncertainQuantity, mean, validate
 
 CAPEX_CATEGORIES = ("development", "infrastructure", "licensing", "data", "other")
 OPEX_CATEGORIES = (
@@ -65,7 +65,12 @@ class CostRules:
 
 @dataclass(frozen=True)
 class CostSchedule:
-    """Per-year cost stack; ``per_year`` is the sum of the component rows."""
+    """Per-year cost stack; ``per_year`` is the sum of the component rows.
+
+    Entries are floats, or numpy columns of one value per iteration when the
+    schedule was built from columns of amounts (a year that no item reaches
+    keeps the float 0.0).  ``total`` is for float schedules.
+    """
 
     per_year: tuple[float, ...]
     capex: tuple[float, ...]
@@ -204,21 +209,6 @@ def reserve_charge(reserve: float, rules: CostRules) -> float:
     return reserve
 
 
-def apply_talent_premium(
-    items: Iterable[OpexItem], premium_rate: float
-) -> list[OpexItem]:
-    """Scale specialist personnel compensation by (1 + premium)."""
-    adjusted = []
-    for item in items:
-        if item.category == "personnel" and item.specialist and premium_rate != 0:
-            adjusted.append(
-                replace(item, annual_amount=scaled(item.annual_amount, 1.0 + premium_rate))
-            )
-        else:
-            adjusted.append(item)
-    return adjusted
-
-
 def _premium_multiplier(item: OpexItem, rules: CostRules) -> float:
     if item.category == "personnel" and item.specialist:
         return 1.0 + rules.talent_premium_rate
@@ -242,12 +232,11 @@ def _cost_components(
         value = (
             capex_amounts[item.id] if capex_amounts is not None else mean(item.amount)
         )
-        if item.incurred_year < horizon:
-            cash_capex_row[item.incurred_year] += value
-            share = value / item.useful_life_years
-            last = min(item.incurred_year + item.useful_life_years, horizon)
-            for year in range(item.incurred_year, last):
-                capex_row[year] += share
+        amortized = amortize_capex(item, horizon, amount=value)
+        cash = amortize_capex(item, horizon, amount=value, cash_basis=True)
+        for year in range(horizon):
+            capex_row[year] += amortized[year]
+            cash_capex_row[year] += cash[year]
         if item.category == "development":
             dev_capex_total += value
     for item in opex_items:
@@ -256,7 +245,8 @@ def _cost_components(
             if opex_amounts is not None
             else mean(item.annual_amount)
         )
-        value *= _premium_multiplier(item, rules)
+        # A new object, not ``*=``: a drawn column belongs to the caller.
+        value = value * _premium_multiplier(item, rules)
         first = max(item.start_year, 0)
         last = min(item.end_year, horizon - 1)
         for year in range(first, last + 1):
@@ -307,13 +297,15 @@ def tco(
     for a simulation iteration; when omitted the analytic means are used.
     The total is undiscounted — discounting happens in valuation.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    capex_row, cash_capex_row, opex_row, maintenance_row, reserve_row = _cost_components(
-        capex_items, opex_items, rules, horizon, capex_amounts, opex_amounts
+    amortized, cash = tco_pair(
+        capex_items,
+        opex_items,
+        rules,
+        horizon,
+        capex_amounts=capex_amounts,
+        opex_amounts=opex_amounts,
     )
-    chosen = cash_capex_row if cash_basis else capex_row
-    return schedule_from_rows(chosen, opex_row, maintenance_row, reserve_row)
+    return cash if cash_basis else amortized
 
 
 def schedule_csv_rows(schedule: CostSchedule) -> list[list]:
@@ -342,7 +334,13 @@ def tco_pair(
     capex_amounts: Mapping[str, float] | None = None,
     opex_amounts: Mapping[str, float] | None = None,
 ) -> tuple[CostSchedule, CostSchedule]:
-    """(amortized, cash-basis) schedules sharing one pass over the items."""
+    """(amortized, cash-basis) schedules sharing one pass over the items.
+
+    ``capex_amounts`` / ``opex_amounts`` map item id to its amount: a float,
+    or an equal-length numpy column of one value per iteration, to which
+    every rule applies with the same operations in the same order.  One
+    mapping may serve both.  When omitted the analytic means are used.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     capex_row, cash_capex_row, opex_row, maintenance_row, reserve_row = _cost_components(

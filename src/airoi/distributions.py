@@ -19,6 +19,8 @@ from typing import Union
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# Master seeds lie in [0, SEED_LIMIT): stream keys use the seed's 64 bits.
+SEED_LIMIT = 1 << 64
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +138,6 @@ class RngStream:
                 _philox_for(words, self.iteration_index)
             )
         return self._generator
-
-    def for_iteration(self, iteration_index: int) -> "RngStream":
-        """Fresh stream for another iteration of the same key."""
-        return RngStream(self.master_seed, self.stream_key, iteration_index)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

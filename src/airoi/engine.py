@@ -303,67 +303,28 @@ def risk_stream_key(scenario_id: str, state: str) -> str:
 
 
 class _Plan:
-    """Per-run plan: each input's stream words and draw parameters, resolved once.
+    """Per-run plan: each input's id, stream words and quantity, resolved once.
 
     Inputs that draw nothing (degenerate quantities) carry words=None.
     """
 
-    __slots__ = ("horizon", "rules", "benefit_plan", "capex_plan", "opex_plan", "risk_plan")
+    __slots__ = ("portfolio", "benefit_plan", "cost_plan", "risk_plan")
 
     def __init__(self, portfolio: Portfolio, master_seed: int):
-        self.horizon = portfolio.horizon_years
-        self.rules = portfolio.cost_rules
+        self.portfolio = portfolio
 
-        def value_words(quantity, key: str):
-            return None if is_degenerate(quantity) else stream_words(master_seed, key)
+        def entry(item_id: str, quantity, key: str):
+            words = None if is_degenerate(quantity) else stream_words(master_seed, key)
+            return item_id, words, quantity
 
-        # Benefit plan: (id, words, quantity, attribution, first year, decay factors).
-        self.benefit_plan = []
-        for item in portfolio.benefits:
-            first = max(item.start_year, 0)
-            last = min(item.end_year, self.horizon - 1)
-            decays = tuple(
-                (1.0 - item.erosion_rate) ** (t - item.start_year)
-                if item.erosion_rate > 0 and t > item.start_year
-                else 1.0
-                for t in range(first, last + 1)
-            )
-            self.benefit_plan.append(
-                (
-                    item.id,
-                    value_words(item.annual_value, benefit_stream_key(item.id)),
-                    item.annual_value,
-                    item.attribution_factor,
-                    first,
-                    decays,
-                )
-            )
-        # Capex plan: (id, words, quantity, incurred, amortized year stop, life, dev?).
-        self.capex_plan = [
-            (
-                item.id,
-                value_words(item.amount, capex_stream_key(item.id)),
-                item.amount,
-                item.incurred_year,
-                min(item.incurred_year + item.useful_life_years, self.horizon),
-                item.useful_life_years,
-                item.category == "development",
-            )
-            for item in portfolio.capex
+        self.benefit_plan = [
+            entry(item.id, item.annual_value, benefit_stream_key(item.id))
+            for item in portfolio.benefits
         ]
-        # Opex plan: (id, words, quantity, premium multiplier, first, last).
-        self.opex_plan = [
-            (
-                item.id,
-                value_words(item.annual_amount, opex_stream_key(item.id)),
-                item.annual_amount,
-                1.0 + portfolio.cost_rules.talent_premium_rate
-                if item.category == "personnel" and item.specialist
-                else 1.0,
-                max(item.start_year, 0),
-                min(item.end_year, self.horizon - 1),
-            )
-            for item in portfolio.opex
+        self.cost_plan = [
+            entry(item.id, item.amount, capex_stream_key(item.id)) for item in portfolio.capex
+        ] + [
+            entry(item.id, item.annual_amount, opex_stream_key(item.id)) for item in portfolio.opex
         ]
         # Risk plan: per scenario, (state, words, frequency, severity) for
         # each applicable state.
@@ -378,46 +339,66 @@ class _Plan:
             self.risk_plan.append((scenario.id, tuple(states)))
 
 
-def _assemble(
+def _matrix(row: Sequence, n: int) -> np.ndarray:
+    """Iterations x years array from a row of per-year floats or columns."""
+    matrix = np.empty((n, len(row)))
+    for year, value in enumerate(row):
+        matrix[:, year] = value
+    return matrix
+
+
+def _fsum_rows(rows: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.fsum, rows.tolist()), dtype=float, count=rows.shape[0])
+
+
+def _assemble_columns(
     portfolio: Portfolio,
-    index: int,
-    benefit_row: Sequence[float],
-    schedule: costs_mod.CostSchedule,
-    cash_schedule: costs_mod.CostSchedule,
-    benefit_values: dict[str, float],
-    cost_values: dict[str, float],
-    scenario_losses: dict[str, tuple[float, float]],
-) -> IterationOutcome:
-    """Compose one outcome from prebuilt benefit and cost rows."""
+    n: int,
+    benefit_values: dict[str, np.ndarray],
+    cost_values: dict[str, np.ndarray],
+    scenario_losses: dict[str, tuple[np.ndarray, np.ndarray]],
+) -> SimulationColumns:
+    """Rows of ``n`` iterations from their per-item values and per-scenario losses.
+
+    Every value is a column of length ``n``.  Benefit and cost rows come
+    from the module pipeline (``benefit_schedule``, ``tco_pair``) applied to
+    the columns; totals are ``math.fsum`` per row.
+    """
     horizon = portfolio.horizon_years
-    reduction_annual = 0.0
-    increase_annual = 0.0
+    benefit_row = _matrix(
+        benefits_mod.benefit_schedule(portfolio.benefits, horizon, benefit_values), n
+    )
+    schedule, cash_schedule = costs_mod.tco_pair(
+        portfolio.capex,
+        portfolio.opex,
+        portfolio.cost_rules,
+        horizon,
+        capex_amounts=cost_values,
+        opex_amounts=cost_values,
+    )
+    tco_per_year = _matrix(schedule.per_year, n)
+    cash_per_year = _matrix(cash_schedule.per_year, n)
+
+    # A scenario whose loss falls adds to the risk reduction, one whose
+    # loss grows to the risk increase.
+    reduction_annual = np.zeros(n)
+    increase_annual = np.zeros(n)
     for loss_current, loss_ai in scenario_losses.values():
         delta = loss_current - loss_ai
-        if delta >= 0:
-            reduction_annual += delta
-        else:
-            increase_annual -= delta
+        reduces = delta >= 0
+        reduction_annual += np.where(reduces, delta, 0.0)
+        increase_annual -= np.where(reduces, 0.0, delta)
     risk_delta = reduction_annual - increase_annual
 
-    per_year = schedule.per_year
-    cash_per_year = cash_schedule.per_year
-    cash_flows = tuple(
-        benefit_row[t] + risk_delta - per_year[t] for t in range(horizon)
-    )
-    cash_basis_flows = tuple(
-        benefit_row[t] + risk_delta - cash_per_year[t] for t in range(horizon)
-    )
-    return IterationOutcome(
-        index=index,
-        gross_benefits=math.fsum(benefit_row),
+    return SimulationColumns(
+        gross_benefits=_fsum_rows(benefit_row),
         risk_reduction=reduction_annual * horizon,
         risk_increase=increase_annual * horizon,
-        tco_total=schedule.total,
+        tco_total=_fsum_rows(tco_per_year),
         risk_delta=risk_delta,
-        cash_flows=cash_flows,
-        cash_basis_flows=cash_basis_flows,
-        tco_per_year=per_year,
+        cash_flows=benefit_row + risk_delta[:, None] - tco_per_year,
+        cash_basis_flows=benefit_row + risk_delta[:, None] - cash_per_year,
+        tco_per_year=tco_per_year,
         benefit_values=benefit_values,
         cost_values=cost_values,
         scenario_losses=scenario_losses,
@@ -433,9 +414,8 @@ def _assemble(
 # are computed from vectorized Philox output with numpy's own transforms;
 # PERT, lognormal and Poisson counts at rate 10 or more are drawn by
 # rejection and keep one positioned generator per (stream, iteration).
-# Rows are assembled with the module pipeline's elementwise operations in
-# the same order, and math.fsum where it uses fsum, so every value equals
-# what benefit_schedule + tco_pair + ale_simulate + _assemble give.
+# The drawn columns then go through _assemble_columns, the same code that
+# evaluates the analytic means.
 # ---------------------------------------------------------------------------
 
 
@@ -487,115 +467,49 @@ def _draw_losses(
     return losses
 
 
-def _fsum_rows(rows: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.fsum, rows.tolist()), dtype=float, count=rows.shape[0])
-
-
 def _simulate_block(
     plan: _Plan, sampler: SubstreamSampler, start: int, stop: int
 ) -> SimulationColumns:
+    def draw(entries) -> dict[str, np.ndarray]:
+        return {
+            item_id: _draw_values(quantity, words, sampler, start, stop)
+            for item_id, words, quantity in entries
+        }
+
     n = stop - start
-    horizon = plan.horizon
-    rules = plan.rules
-
-    benefit_values: dict[str, np.ndarray] = {}
-    benefit_row = np.zeros((n, horizon))
-    for item_id, words, quantity, attribution, first, decays in plan.benefit_plan:
-        base = _draw_values(quantity, words, sampler, start, stop)
-        benefit_values[item_id] = base
-        value = base * attribution
-        for offset, decay in enumerate(decays):
-            benefit_row[:, first + offset] += value * decay
-
-    cost_values: dict[str, np.ndarray] = {}
-    capex_row = np.zeros((n, horizon))
-    cash_capex_row = np.zeros((n, horizon))
-    dev_capex_total = np.zeros(n)
-    for item_id, words, quantity, incurred, amort_stop, life, is_dev in plan.capex_plan:
-        value = _draw_values(quantity, words, sampler, start, stop)
-        cost_values[item_id] = value
-        if incurred < horizon:
-            cash_capex_row[:, incurred] += value
-            capex_row[:, incurred:amort_stop] += (value / life)[:, None]
-        if is_dev:
-            dev_capex_total += value
-    opex_row = np.zeros((n, horizon))
-    for item_id, words, quantity, multiplier, first, last in plan.opex_plan:
-        value = _draw_values(quantity, words, sampler, start, stop)
-        cost_values[item_id] = value
-        opex_row[:, first : last + 1] += (value * multiplier)[:, None]
-
-    maintenance_charge = rules.maintenance_rate * dev_capex_total
-    carrying = (
-        rules.reserve_carrying_rate if rules.reserve_treatment == "carrying_cost" else None
-    )
-    tco_per_year = np.empty((n, horizon))
-    cash_per_year = np.empty((n, horizon))
-    for year in range(horizon):
-        maintenance = maintenance_charge if year else 0.0
-        opex = opex_row[:, year]
-        reserve = rules.reserve_rate * (opex + maintenance)
-        if carrying is not None:
-            reserve = reserve * carrying
-        tco_per_year[:, year] = capex_row[:, year] + opex + maintenance + reserve
-        cash_per_year[:, year] = cash_capex_row[:, year] + opex + maintenance + reserve
-
     scenario_losses: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    reduction_annual = np.zeros(n)
-    increase_annual = np.zeros(n)
     for scenario_id, states in plan.risk_plan:
         losses = {"current": np.zeros(n), "ai": np.zeros(n)}
         for state, words, freq, severity in states:
             losses[state] = _draw_losses(freq, severity, words, sampler, start, stop)
         scenario_losses[scenario_id] = (losses["current"], losses["ai"])
-        delta = losses["current"] - losses["ai"]
-        reduces = delta >= 0
-        reduction_annual += np.where(reduces, delta, 0.0)
-        increase_annual -= np.where(reduces, 0.0, delta)
-    risk_delta = reduction_annual - increase_annual
-
-    return SimulationColumns(
-        gross_benefits=_fsum_rows(benefit_row),
-        risk_reduction=reduction_annual * horizon,
-        risk_increase=increase_annual * horizon,
-        tco_total=_fsum_rows(tco_per_year),
-        risk_delta=risk_delta,
-        cash_flows=benefit_row + risk_delta[:, None] - tco_per_year,
-        cash_basis_flows=benefit_row + risk_delta[:, None] - cash_per_year,
-        tco_per_year=tco_per_year,
-        benefit_values=benefit_values,
-        cost_values=cost_values,
-        scenario_losses=scenario_losses,
+    return _assemble_columns(
+        plan.portfolio, n, draw(plan.benefit_plan), draw(plan.cost_plan), scenario_losses
     )
+
 
 def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
     """Deterministic evaluation with every sample replaced by its mean."""
-    benefit_values = {item.id: mean(item.annual_value) for item in portfolio.benefits}
-    benefit_row = benefits_mod.benefit_schedule(
-        portfolio.benefits, portfolio.horizon_years, benefit_values
-    )
-    schedule, cash_schedule = costs_mod.tco_pair(
-        portfolio.capex, portfolio.opex, portfolio.cost_rules, portfolio.horizon_years
-    )
-    cost_values = {item.id: mean(item.amount) for item in portfolio.capex}
-    cost_values.update({item.id: mean(item.annual_amount) for item in portfolio.opex})
-    scenario_losses = {
-        scenario.id: (
-            risk_mod.ale_analytic(scenario, "current"),
-            risk_mod.ale_analytic(scenario, "ai"),
-        )
-        for scenario in portfolio.register.scenarios
-    }
-    return _assemble(
+
+    def column(value: float) -> np.ndarray:
+        return np.full(1, value)
+
+    cost_values = {item.id: column(mean(item.amount)) for item in portfolio.capex}
+    cost_values.update({item.id: column(mean(item.annual_amount)) for item in portfolio.opex})
+    columns = _assemble_columns(
         portfolio,
-        0,
-        benefit_row,
-        schedule,
-        cash_schedule,
-        benefit_values,
+        1,
+        {item.id: column(mean(item.annual_value)) for item in portfolio.benefits},
         cost_values,
-        scenario_losses,
+        {
+            scenario.id: (
+                column(risk_mod.ale_analytic(scenario, "current")),
+                column(risk_mod.ale_analytic(scenario, "ai")),
+            )
+            for scenario in portfolio.register.scenarios
+        },
     )
+    return next(columns.iter_outcomes())
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,12 @@ def irr(cashflows: Sequence[float]) -> float | None:
     root found.  Cash flows with a single sign change are bracketed
     directly; flows with several sign changes fall back to a grid scan, so
     later roots may exist (flagged upstream).
+
+    Over a long horizon the discount factor (1 + rate)**t underflows to
+    zero near the bracket's lower end, where the NPV lies beyond the float
+    range.  There the NPV counts as an infinity with the sign of
+    NPV * (1 + rate)**T, T the last year, which is finite; so any horizon
+    of finite flows gives a root or None, never an error.
     """
     if not cashflows:
         raise ValueError("cashflows must be nonempty")
@@ -116,9 +122,15 @@ def irr(cashflows: Sequence[float]) -> float | None:
         factor = 1.0 + rate
         discount = 1.0
         total = 0.0
-        for cf in flows:
-            total += cf / discount
-            discount *= factor
+        try:
+            for cf in flows:
+                total += cf / discount
+                discount *= factor
+        except ZeroDivisionError:
+            scaled = 0.0
+            for cf in flows:
+                scaled = scaled * factor + cf
+            return math.copysign(math.inf, scaled) if scaled else 0.0
         return total
 
     f_lo = f(lo)

@@ -10,13 +10,11 @@ from airoi.benefits import (
     apply_projection_margin,
     benefit_schedule,
     default_margin,
-    error_reduction_benefit,
     item_value_at,
-    productivity_benefit,
     uplift_estimate,
     validate_item,
 )
-from airoi.distributions import Point, RngStream, Triangular, Uniform, mean
+from airoi.distributions import Point, Triangular, mean
 
 
 def flat_item(item_id: str, value: float, start: int, end: int, **kwargs) -> BenefitItem:
@@ -28,35 +26,6 @@ def flat_item(item_id: str, value: float, start: int, end: int, **kwargs) -> Ben
         end_year=end,
         **kwargs,
     )
-
-
-# -- magnitude rules ------------------------------------------------------------
-
-
-def test_productivity_benefit_product_rule():
-    assert productivity_benefit(Point(1000.0), 80.0) == 80_000.0
-    assert productivity_benefit(Point(0.0), 80.0) == 0.0
-    assert productivity_benefit(Triangular(800.0, 1000.0, 1200.0), 80.0) == 80_000.0
-
-
-def test_productivity_benefit_sampled_mode():
-    rng = RngStream(5, "benefit:b", 3)
-    value = productivity_benefit(Triangular(800.0, 1000.0, 1200.0), 80.0, rng)
-    assert 64_000.0 <= value <= 96_000.0
-    assert value != 80_000.0
-
-
-def test_error_reduction_benefit_product_rule():
-    assert error_reduction_benefit(Point(50.0), 2000.0) == 100_000.0
-    assert error_reduction_benefit(Point(50.0), 0.0) == 0.0
-    assert error_reduction_benefit(Uniform(40.0, 60.0), 2000.0) == 100_000.0
-
-
-def test_negative_unit_costs_rejected():
-    with pytest.raises(ValueError):
-        productivity_benefit(Point(10.0), -1.0)
-    with pytest.raises(ValueError):
-        error_reduction_benefit(Point(10.0), -1.0)
 
 
 # -- A/B uplift -------------------------------------------------------------------

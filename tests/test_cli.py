@@ -193,6 +193,26 @@ def test_simulate_invalid_workers(tmp_path, capsys):
     assert "workers" in err
 
 
+def test_seed_outside_64_bits_rejected(tmp_path, capsys):
+    # Stream keys use the seed's 64 bits, so 2^64 would alias 0 and -1
+    # would alias 2^64 - 1 while the report records the seed as given.
+    path = write_config(tmp_path, minimal_config())
+    for command in ("simulate", "plotdata"):
+        extra = ["--metric", "npv"] if command == "plotdata" else []
+        for seed in (-1, 2**64):
+            code, out, err = run_cli(
+                capsys, command, str(path), *extra, "--iterations", "5", "--seed", str(seed)
+            )
+            assert code == EXIT_VALIDATION
+            assert out == ""
+            assert err.count("\n") == 1 and "seed" in err
+    code, out, _ = run_cli(
+        capsys, "simulate", str(path), "--iterations", "5", "--seed", str(2**64 - 1)
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["body"]["simulation"]["master_seed"] == 2**64 - 1
+
+
 def test_evaluate_costs_csv(tmp_path, capsys):
     path = write_config(tmp_path, minimal_config())
     costs_path = tmp_path / "costs.csv"
@@ -279,30 +299,36 @@ def test_delta_classification_matches_api(tmp_path, capsys, reference_config_pat
 
 
 def test_track_exact_actuals_have_zero_variance(tmp_path, capsys):
-    data = all_point_config()
-    path = write_config(tmp_path, data)
-    # Analytic quarterly projections: benefit 80000/4, opex 30000/4, loss ALE 0 (current_only).
-    actuals = {
-        "records": [
-            {
-                "period": {"year": 1, "quarter": 1},
-                "benefits": {"automation": 20000.0},
-                "costs": {"run": 7500.0},
-                "losses": {"outage": {"events": 0, "total_loss": 0.0}},
-            }
-        ]
-    }
-    actuals_path = tmp_path / "actuals.json"
-    actuals_path.write_text(json.dumps(actuals))
-    code, out, _ = run_cli(capsys, "track", str(path), str(actuals_path))
-    assert code == EXIT_OK
-    rows = parse_csv(out)
-    assert rows[0][0] == "period"
-    by_id = {row[2]: row for row in rows[1:]}
-    assert by_id["automation"][5] == "0.00"  # variance
-    assert by_id["automation"][8] == "no"
-    assert by_id["run"][5] == "0.00"
-    assert by_id["outage"][8] == "no"
+    # The band of an attributed benefit is attributed like its projection.
+    for attribution in (1.0, 0.5):
+        data = all_point_config()
+        data["benefits"][0]["attribution_factor"] = attribution
+        path = write_config(tmp_path, data)
+        # Analytic quarterly projections: benefit 80000*attribution/4, opex
+        # 30000/4, loss ALE 0 (current_only).
+        projected = 20000.0 * attribution
+        actuals = {
+            "records": [
+                {
+                    "period": {"year": 1, "quarter": 1},
+                    "benefits": {"automation": projected},
+                    "costs": {"run": 7500.0},
+                    "losses": {"outage": {"events": 0, "total_loss": 0.0}},
+                }
+            ]
+        }
+        actuals_path = tmp_path / "actuals.json"
+        actuals_path.write_text(json.dumps(actuals))
+        code, out, _ = run_cli(capsys, "track", str(path), str(actuals_path))
+        assert code == EXIT_OK
+        rows = parse_csv(out)
+        assert rows[0][0] == "period"
+        by_id = {row[2]: row for row in rows[1:]}
+        assert by_id["automation"][3] == f"{projected:.2f}"
+        assert by_id["automation"][5] == "0.00"  # variance
+        assert by_id["automation"][6:9] == [f"{projected:.2f}", f"{projected:.2f}", "no"]
+        assert by_id["run"][5] == "0.00"
+        assert by_id["outage"][8] == "no"
 
 
 def test_track_flags_actual_outside_band(tmp_path, capsys):

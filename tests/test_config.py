@@ -149,6 +149,20 @@ def test_bad_distribution_literal(tmp_path):
     assert any("gaussian" in m for m in error_messages(diagnostics))
 
 
+def test_master_seed_outside_64_bits_rejected(tmp_path):
+    for seed in (-1, 2**64, 2**70):
+        data = minimal_config()
+        data["simulation"]["master_seed"] = seed
+        config, diagnostics = load_data(tmp_path, data)
+        assert config is None
+        assert any("master_seed" in m and "[0, 2^64)" in m for m in error_messages(diagnostics))
+    data = minimal_config()
+    data["simulation"]["master_seed"] = 2**64 - 1
+    config, diagnostics = load_data(tmp_path, data)
+    assert not has_errors(diagnostics)
+    assert config.simulation.master_seed == 2**64 - 1
+
+
 def test_triangular_ordering_rejected(tmp_path):
     data = minimal_config()
     data["risks"][0]["sle"] = {"kind": "triangular", "lo": 3, "mode": 2, "hi": 1}

@@ -7,7 +7,6 @@ from airoi.costs import (
     CostRules,
     OpexItem,
     amortize_capex,
-    apply_talent_premium,
     maintenance_opex,
     reserve_charge,
     reserve_requirement,
@@ -92,19 +91,6 @@ def test_reserve_carrying_cost_treatment():
     rules = CostRules(reserve_treatment="carrying_cost", reserve_carrying_rate=0.05)
     assert reserve_charge(50_000.0, rules) == 2_500.0
     assert reserve_charge(50_000.0, CostRules(reserve_treatment="cash_cost")) == 50_000.0
-
-
-def test_talent_premium_scales_specialist_personnel():
-    items = [
-        OpexItem("ml", Point(100_000.0), 0, 2, category="personnel", specialist=True),
-        OpexItem("support", Point(100_000.0), 0, 2, category="personnel", specialist=False),
-        OpexItem("compute", Point(100_000.0), 0, 2, category="compute", specialist=True),
-    ]
-    adjusted = apply_talent_premium(items, 0.40)
-    assert mean(adjusted[0].annual_amount) == pytest.approx(140_000.0, rel=1e-12)
-    assert adjusted[1] is items[1]
-    assert adjusted[2] is items[2]
-    assert apply_talent_premium(items, 0.0) == items
 
 
 # -- full schedule ---------------------------------------------------------------

@@ -112,14 +112,6 @@ def test_stream_isolation_under_added_keys():
     assert solo == interleaved
 
 
-def test_for_iteration_derives_equivalent_stream():
-    base = RngStream(42, "benefit:hours", 0)
-    derived = base.for_iteration(12)
-    direct = RngStream(42, "benefit:hours", 12)
-    quantity = Uniform(0.0, 1.0)
-    assert sample(quantity, derived) == sample(quantity, direct)
-
-
 def test_substream_sampler_matches_rngstream_bits():
     fallback = SubstreamSampler()
     fallback._views = None  # the public state setter, used where numpy's layout differs

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from airoi.benefits import BenefitItem, benefit_schedule
@@ -19,7 +21,7 @@ from airoi.distributions import (
 from airoi.engine import (
     Portfolio,
     SimulationConfig,
-    _assemble,
+    _assemble_columns,
     analytic_evaluate,
     benefit_stream_key,
     capex_stream_key,
@@ -453,41 +455,33 @@ def _random_portfolio(gen) -> Portfolio:
 
 
 def _pipeline_outcome(portfolio: Portfolio, seed: int, index: int):
-    """Outcome ``index`` rebuilt by the module pipeline from its named streams."""
+    """Outcome ``index`` drawn from its named streams one value at a time.
+
+    The draws are the positioned scalar reference for the kernel's sampling;
+    they are assembled as a one-row block.
+    """
 
     def draw(quantity, key):
-        return sample(quantity, RngStream(seed, key, index))
+        return np.full(1, sample(quantity, RngStream(seed, key, index)))
 
     benefit_values = {
         b.id: draw(b.annual_value, benefit_stream_key(b.id)) for b in portfolio.benefits
     }
-    capex_amounts = {c.id: draw(c.amount, capex_stream_key(c.id)) for c in portfolio.capex}
-    opex_amounts = {o.id: draw(o.annual_amount, opex_stream_key(o.id)) for o in portfolio.opex}
-    schedule, cash_schedule = tco_pair(
-        portfolio.capex,
-        portfolio.opex,
-        portfolio.cost_rules,
-        portfolio.horizon_years,
-        capex_amounts=capex_amounts,
-        opex_amounts=opex_amounts,
+    cost_values = {c.id: draw(c.amount, capex_stream_key(c.id)) for c in portfolio.capex}
+    cost_values.update(
+        {o.id: draw(o.annual_amount, opex_stream_key(o.id)) for o in portfolio.opex}
     )
     scenario_losses = {
         s.id: tuple(
-            ale_simulate(s, state, RngStream(seed, risk_stream_key(s.id, state), index))
+            np.full(
+                1, ale_simulate(s, state, RngStream(seed, risk_stream_key(s.id, state), index))
+            )
             for state in ("current", "ai")
         )
         for s in portfolio.register.scenarios
     }
-    return _assemble(
-        portfolio,
-        index,
-        benefit_schedule(portfolio.benefits, portfolio.horizon_years, benefit_values),
-        schedule,
-        cash_schedule,
-        benefit_values,
-        {**capex_amounts, **opex_amounts},
-        scenario_losses,
-    )
+    columns = _assemble_columns(portfolio, 1, benefit_values, cost_values, scenario_losses)
+    return dataclasses.replace(next(columns.iter_outcomes()), index=index)
 
 
 def test_random_portfolios_satisfy_core_invariants():
@@ -502,6 +496,22 @@ def test_random_portfolios_satisfy_core_invariants():
         horizon = portfolio.horizon_years
         for outcome in result.outcomes:
             assert outcome == _pipeline_outcome(portfolio, 3, outcome.index)
+            # The float path of the schedule code gives the same rows.
+            row = benefit_schedule(portfolio.benefits, horizon, outcome.benefit_values)
+            amortized, cash = tco_pair(
+                portfolio.capex,
+                portfolio.opex,
+                portfolio.cost_rules,
+                horizon,
+                capex_amounts=outcome.cost_values,
+                opex_amounts=outcome.cost_values,
+            )
+            assert math.fsum(row) == outcome.gross_benefits
+            assert amortized.per_year == outcome.tco_per_year
+            assert amortized.total == outcome.tco_total
+            assert tuple(
+                row[t] + outcome.risk_delta - cash.per_year[t] for t in range(horizon)
+            ) == outcome.cash_basis_flows
             assert outcome.risk_reduction >= 0.0
             assert outcome.risk_increase >= 0.0
             assert outcome.risk_reduction - outcome.risk_increase == pytest.approx(

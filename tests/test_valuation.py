@@ -132,6 +132,20 @@ def test_irr_smallest_root_for_multiple_sign_changes():
     assert cashflow_sign_changes(flows) == 2
 
 
+def test_irr_defined_on_every_horizon():
+    # Past about 108 years the discount factor at the bracket's lower end
+    # underflows to zero; the bisection must still find the root.
+    for horizon in range(1, 201):
+        flows = [-100.0] + [1.0] * (horizon - 1)
+        rate = irr(flows)
+        if horizon == 1:
+            assert rate is None
+            continue
+        assert -0.999 < rate < 10.0
+        assert abs(npv(flows, rate)) <= max(1e-6, 1e-9 * math.fsum(abs(f) for f in flows))
+        assert irr([-cf for cf in flows]) == rate
+
+
 def test_irr_root_outside_bracket_is_undefined():
     # Root above 10.0 (1100% return) falls outside the search bracket.
     assert irr([-1.0, 12.5]) is None
