@@ -14,12 +14,16 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
+
+import numpy as np
 
 from . import valuation as valuation_mod
 from .benefits import item_value_at
 from .config import (
+    SEVERITY_ERROR,
     ActualsRecord,
     Diagnostic,
     PortfolioConfig,
@@ -28,7 +32,7 @@ from .config import (
     load_config,
 )
 from .costs import schedule_csv_rows, tco as costs_tco
-from .distributions import SEED_LIMIT, percentile
+from .distributions import percentile
 from .engine import (
     IterationOutcome,
     Portfolio,
@@ -37,6 +41,7 @@ from .engine import (
     SimulationConfig,
     analytic_evaluate,
     run_simulation,
+    validate_simulation,
 )
 from .risk import delta_table
 from .valuation import DiscountSpec, ValuationOutcome, ValuationReport
@@ -69,9 +74,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # Valid inputs can still carry a result past the float range: an
+        # fsum overflows, inf - inf is nan, and JSON has no inf or nan.
+        # That is reported once, below, rather than as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except BrokenPipeError:  # downstream closed the pipe; not our error
         return EXIT_OK
+    except (OverflowError, ValueError) as exc:
+        print(f"error: a result is outside the float range: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,35 +168,23 @@ def _load_or_fail(path: str) -> PortfolioConfig | None:
 
 
 def _resolve_simulation(config: PortfolioConfig, args) -> SimulationConfig | None:
-    sim = config.simulation
-    iterations = sim.iterations if args.iterations is None else args.iterations
-    seed = sim.master_seed if args.seed is None else args.seed
-    workers = sim.worker_count
-    if args.workers is not None:
-        if args.workers == "auto":
-            workers = None
-        else:
-            try:
-                workers = int(args.workers)
-            except ValueError:
-                print(f"error: --workers must be an integer or 'auto', got {args.workers!r}",
-                      file=sys.stderr)
-                return None
-    if iterations < 1:
-        print(f"error: iterations must be >= 1, got {iterations}", file=sys.stderr)
-        return None
-    if not 0 <= seed < SEED_LIMIT:
-        print(f"error: seed must lie in [0, 2^64), got {seed}", file=sys.stderr)
-        return None
-    if workers is not None and workers < 1:
-        print(f"error: workers must be >= 1, got {workers}", file=sys.stderr)
-        return None
-    return SimulationConfig(
-        iterations=iterations,
-        master_seed=seed,
-        worker_count=workers,
-        target_relative_se=sim.target_relative_se,
-    )
+    """The configured run settings with the command-line overrides applied."""
+    overrides = {}
+    if args.iterations is not None:
+        overrides["iterations"] = args.iterations
+    if args.seed is not None:
+        overrides["master_seed"] = args.seed
+    if args.workers == "auto":
+        overrides["worker_count"] = None
+    elif args.workers is not None:
+        try:
+            overrides["worker_count"] = int(args.workers)
+        except ValueError:  # not a number: validate_simulation reports it as given
+            overrides["worker_count"] = args.workers
+    sim = replace(config.simulation, **overrides)
+    errors = validate_simulation(sim)
+    _print_diagnostics([Diagnostic(SEVERITY_ERROR, "simulation", message) for message in errors])
+    return None if errors else sim
 
 
 def _write_text(text: str, out: str | None) -> int:

@@ -13,17 +13,16 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
 from . import benefits as benefits_mod
-from . import costs as costs_mod
 from . import risk as risk_mod
 from .benefits import AbTestResult, BenefitItem
 from .costs import CapexItem, CostRules, OpexItem
 from .distributions import (
-    SEED_LIMIT,
     Lognormal,
     Pert,
     Point,
@@ -35,7 +34,7 @@ from .distributions import (
     UncertainQuantity,
     scaled,
 )
-from .engine import Portfolio, SimulationConfig, validate_portfolio
+from .engine import Portfolio, SimulationConfig, validate_portfolio, validate_simulation
 from .risk import PENALTY_TIERS, RiskRegister, RiskScenario
 
 SCHEMA_VERSION = 1
@@ -90,10 +89,6 @@ class _Collector:
     def warning(self, location: str, message: str) -> None:
         self.diagnostics.append(Diagnostic(SEVERITY_WARNING, location, message))
 
-    @property
-    def has_errors(self) -> bool:
-        return any(d.severity == SEVERITY_ERROR for d in self.diagnostics)
-
 
 def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity == SEVERITY_ERROR for d in diagnostics)
@@ -104,75 +99,82 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_QUANTITY_FAMILIES = {
+    "point": (Point, ("value",)),
+    "uniform": (Uniform, ("lo", "hi")),
+    "triangular": (Triangular, ("lo", "mode", "hi")),
+    "pert": (Pert, ("lo", "mode", "hi")),
+    "lognormal": (Lognormal, ("median", "sigma")),
+}
+_FREQUENCY_FAMILIES = {
+    "point": (PointRate, ("rate",)),
+    "poisson": (PoissonRate, ("rate",)),
+}
+
+
+def _parse_literal(obj: Any, location: str, collector: _Collector, families: dict, noun: str):
+    """A literal of one of ``families``; a bare number is its point shorthand."""
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        _, (name,) = families["point"]
+        obj = {"kind": "point", name: obj}
+    if not isinstance(obj, dict):
+        collector.error(location, f"expected a number or {noun} object, got {obj!r}")
+        return None
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in families:
+        collector.error(
+            location, f"unknown {noun} kind {kind!r}; expected one of {', '.join(families)}"
+        )
+        return None
+    family, names = families[kind]
+    params = [_require(obj, name, location, collector, float) for name in names]
+    return None if None in params else family(*params)
+
+
 def parse_quantity(
     obj: Any, location: str, collector: _Collector
 ) -> UncertainQuantity | None:
     """Parse a distribution literal; bare numbers are Point shorthand."""
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return Point(float(obj))
-    if not isinstance(obj, dict):
-        collector.error(location, f"expected a number or distribution object, got {obj!r}")
-        return None
-    kind = obj.get("kind")
-    try:
-        if kind == "point":
-            return Point(float(obj["value"]))
-        if kind == "uniform":
-            return Uniform(float(obj["lo"]), float(obj["hi"]))
-        if kind == "triangular":
-            return Triangular(float(obj["lo"]), float(obj["mode"]), float(obj["hi"]))
-        if kind == "pert":
-            return Pert(float(obj["lo"]), float(obj["mode"]), float(obj["hi"]))
-        if kind == "lognormal":
-            return Lognormal(float(obj["median"]), float(obj["sigma"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        collector.error(location, f"bad {kind} literal: {exc}")
-        return None
-    collector.error(
-        location,
-        f"unknown distribution kind {kind!r}; expected one of "
-        "point, uniform, triangular, pert, lognormal",
-    )
-    return None
+    return _parse_literal(obj, location, collector, _QUANTITY_FAMILIES, "distribution")
 
 
 def parse_frequency(
     obj: Any, location: str, collector: _Collector
 ) -> FrequencyModel | None:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return PointRate(float(obj))
-    if not isinstance(obj, dict):
-        collector.error(location, f"expected a rate or frequency object, got {obj!r}")
-        return None
-    kind = obj.get("kind")
-    try:
-        if kind == "point":
-            return PointRate(float(obj["rate"]))
-        if kind == "poisson":
-            return PoissonRate(float(obj["rate"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        collector.error(location, f"bad {kind} frequency literal: {exc}")
-        return None
-    collector.error(location, f"unknown frequency kind {kind!r}; expected point or poisson")
-    return None
+    """Parse a frequency literal; bare numbers are PointRate shorthand."""
+    return _parse_literal(obj, location, collector, _FREQUENCY_FAMILIES, "frequency")
+
+
+_REQUIRED = object()
 
 
 def _require(
-    data: dict, key: str, location: str, collector: _Collector, kind: type | tuple
+    data: dict,
+    key: str,
+    location: str,
+    collector: _Collector,
+    kind: type,
+    default: Any = _REQUIRED,
 ) -> Any:
+    """The typed value of ``data[key]``, or None after reporting why not.
+
+    A missing key is an error unless a ``default`` is given, which is
+    returned as is.
+    """
     if key not in data:
-        collector.error(location, f"missing required field {key!r}")
-        return None
+        if default is _REQUIRED:
+            collector.error(location, f"missing required field {key!r}")
+            return None
+        return default
     value = data[key]
     if kind is float:
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-        ):
+        number = math.nan
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            number = float(value) if abs(value) <= sys.float_info.max else math.inf
+        if not math.isfinite(number):
             collector.error(location, f"field {key!r} must be a finite number, got {value!r}")
             return None
-        return float(value)
+        return number
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             collector.error(location, f"field {key!r} must be an integer, got {value!r}")
@@ -182,30 +184,6 @@ def _require(
         collector.error(location, f"field {key!r} has the wrong type: {value!r}")
         return None
     return value
-
-
-def _opt_int(
-    data: dict, key: str, default: int, location: str, collector: _Collector
-) -> int | None:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        collector.error(location, f"field {key!r} must be an integer, got {value!r}")
-        return None
-    return value
-
-
-def _opt_float(
-    data: dict, key: str, default: float, location: str, collector: _Collector
-) -> float | None:
-    value = data.get(key, default)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-    ):
-        collector.error(location, f"field {key!r} must be a finite number, got {value!r}")
-        return None
-    return float(value)
 
 
 def _section_list(data: dict, key: str, collector: _Collector) -> list:
@@ -237,9 +215,8 @@ def _parse_benefit(
         collector.error(loc, f"unknown benefit kind {kind!r}")
         return None
 
-    phase = data.get("phase", "early")
-    if phase not in benefits_mod.PHASES:
-        collector.error(loc, f"phase must be one of {benefits_mod.PHASES}, got {phase!r}")
+    phase = _require(data, "phase", loc, collector, str, default="early")
+    if phase is None:
         return None
 
     annual_value: UncertainQuantity | None = None
@@ -273,13 +250,15 @@ def _parse_benefit(
             annual_value = parse_quantity(data["annual_value"], f"{loc}.annual_value", collector)
         elif kind == "revenue_uplift" and "ab_test" in data:
             ab = _parse_ab_test(data["ab_test"], f"{loc}.ab_test", base_dir, collector)
-            if ab is None:
+            # An unknown phase is reported with the item; its margin is moot.
+            default = benefits_mod.DEFAULT_PROJECTION_MARGINS.get(phase, 0.0)
+            margin = _require(data, "projection_margin", loc, collector, float, default)
+            if ab is None or margin is None:
                 return None
             try:
                 estimate = benefits_mod.uplift_estimate(ab)
-                margin = data.get("projection_margin", benefits_mod.default_margin(phase))
                 annual_value = benefits_mod.apply_projection_margin(
-                    estimate.annual_value, float(margin)
+                    estimate.annual_value, margin
                 )
             except ValueError as exc:
                 collector.error(loc, str(exc))
@@ -292,13 +271,13 @@ def _parse_benefit(
     if annual_value is None:
         return None
 
-    start_year = _opt_int(data, "start_year", 0, loc, collector)
-    end_year = _opt_int(data, "end_year", horizon - 1, loc, collector)
-    attribution = _opt_float(data, "attribution_factor", 1.0, loc, collector)
-    erosion = _opt_float(data, "erosion_rate", 0.0, loc, collector)
+    start_year = _require(data, "start_year", loc, collector, int, 0)
+    end_year = _require(data, "end_year", loc, collector, int, horizon - 1)
+    attribution = _require(data, "attribution_factor", loc, collector, float, 1.0)
+    erosion = _require(data, "erosion_rate", loc, collector, float, 0.0)
     if None in (start_year, end_year, attribution, erosion):
         return None
-    item = BenefitItem(
+    return BenefitItem(
         id=item_id,
         kind=kind,
         annual_value=annual_value,
@@ -308,9 +287,6 @@ def _parse_benefit(
         phase=phase,
         erosion_rate=erosion,
     )
-    for message in benefits_mod.validate_item(item, horizon):
-        collector.error(loc, message)
-    return item
 
 
 def _scaled_or_error(quantity, factor, loc, collector):
@@ -329,11 +305,14 @@ def _parse_ab_test(
         return None
     counts: dict[str, int] = {}
     if "csv" in data:
-        csv_path = base_dir / data["csv"]
+        csv_name = _require(data, "csv", location, collector, str)
+        if csv_name is None:
+            return None
+        csv_path = base_dir / csv_name
         try:
-            with open(csv_path, newline="") as handle:
+            with open(csv_path, newline="", encoding="utf-8") as handle:
                 for row in csv.DictReader(handle):
-                    arm = row.get("arm", "").strip().lower()
+                    arm = (row.get("arm") or "").strip().lower()
                     if arm not in ("treatment", "control"):
                         collector.error(location, f"unknown arm {arm!r} in {csv_path}")
                         return None
@@ -342,7 +321,7 @@ def _parse_ab_test(
         except OSError as exc:
             collector.error(location, f"cannot read arm counts: {exc}")
             return None
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             collector.error(location, f"bad arm-count CSV {csv_path}: {exc}")
             return None
     else:
@@ -381,19 +360,17 @@ def _parse_capex(data: dict, index: int, collector: _Collector) -> CapexItem | N
     loc = f"costs.capex[{index}] ({item_id})"
     amount = parse_quantity(data.get("amount"), f"{loc}.amount", collector)
     life = _require(data, "useful_life_years", loc, collector, int)
-    incurred = _opt_int(data, "incurred_year", 0, loc, collector)
-    if amount is None or life is None or incurred is None:
+    incurred = _require(data, "incurred_year", loc, collector, int, 0)
+    category = _require(data, "category", loc, collector, str, "development")
+    if None in (amount, life, incurred, category):
         return None
-    item = CapexItem(
+    return CapexItem(
         id=item_id,
         amount=amount,
         useful_life_years=life,
         incurred_year=incurred,
-        category=data.get("category", "development"),
+        category=category,
     )
-    for message in costs_mod.validate_capex(item):
-        collector.error(loc, message)
-    return item
 
 
 def _parse_opex(
@@ -405,45 +382,37 @@ def _parse_opex(
         return None
     loc = f"costs.opex[{index}] ({item_id})"
     amount = parse_quantity(data.get("annual_amount"), f"{loc}.annual_amount", collector)
-    start_year = _opt_int(data, "start_year", 0, loc, collector)
-    end_year = _opt_int(data, "end_year", horizon - 1, loc, collector)
-    if amount is None or start_year is None or end_year is None:
+    start_year = _require(data, "start_year", loc, collector, int, 0)
+    end_year = _require(data, "end_year", loc, collector, int, horizon - 1)
+    category = _require(data, "category", loc, collector, str, "other")
+    specialist = _require(data, "specialist", loc, collector, bool, False)
+    if None in (amount, start_year, end_year, category, specialist):
         return None
-    item = OpexItem(
+    return OpexItem(
         id=item_id,
         annual_amount=amount,
         start_year=start_year,
         end_year=end_year,
-        category=data.get("category", "other"),
-        specialist=bool(data.get("specialist", False)),
+        category=category,
+        specialist=specialist,
     )
-    for message in costs_mod.validate_opex(item):
-        collector.error(loc, message)
-    return item
 
 
 def _parse_rules(data: Any, collector: _Collector) -> CostRules:
+    """The rules as given; the defaults where an error has been reported."""
     loc = "costs.rules"
     if data is None:
         data = {}
     if not isinstance(data, dict):
         collector.error(loc, "rules must be an object")
         return CostRules()
-    rules = CostRules(
-        maintenance_rate=data.get("maintenance_rate", CostRules.maintenance_rate),
-        reserve_rate=data.get("reserve_rate", CostRules.reserve_rate),
-        talent_premium_rate=data.get("talent_premium_rate", CostRules.talent_premium_rate),
-        reserve_treatment=data.get("reserve_treatment", CostRules.reserve_treatment),
-        reserve_carrying_rate=data.get(
-            "reserve_carrying_rate", CostRules.reserve_carrying_rate
-        ),
-    )
-    errors, warnings = costs_mod.validate_cost_rules(rules)
-    for message in errors:
-        collector.error(loc, message)
-    for message in warnings:
-        collector.warning(loc, message)
-    return rules
+    values = {
+        rule.name: _require(data, rule.name, loc, collector, type(rule.default), rule.default)
+        for rule in fields(CostRules)
+    }
+    if None in values.values():
+        return CostRules()
+    return CostRules(**values)
 
 
 def _parse_scenario(
@@ -456,44 +425,28 @@ def _parse_scenario(
         return None
     loc = f"risks[{index}] ({scenario_id})"
     sle = parse_quantity(data.get("sle"), f"{loc}.sle", collector)
-    if sle is None:
+    description = _require(data, "description", loc, collector, str, "")
+    tags = _require(data, "tags", loc, collector, list, [])
+    if None in (sle, description, tags):
         return None
-    if applies_to not in risk_mod.APPLIES_TO:
-        collector.error(loc, f"applies_to must be one of {risk_mod.APPLIES_TO}")
-        return None
-
-    shared = data.get("frequency")
-    frequency_current = None
-    frequency_ai = None
-    if applies_to in ("current_only", "both"):
-        raw = data.get("frequency_current", shared)
-        if raw is None:
-            collector.error(loc, "missing frequency for the current state")
-        else:
-            frequency_current = parse_frequency(raw, f"{loc}.frequency_current", collector)
-    if applies_to in ("ai_only", "both"):
-        raw = data.get("frequency_ai", shared)
-        if raw is None:
-            collector.error(loc, "missing frequency for the ai state")
-        else:
-            frequency_ai = parse_frequency(raw, f"{loc}.frequency_ai", collector)
-
-    tags = data.get("tags", [])
-    if not isinstance(tags, list):
-        collector.error(loc, "tags must be a list of strings")
-        tags = []
     scenario = RiskScenario(
         id=scenario_id,
         sle=sle,
         applies_to=applies_to,
-        frequency_current=frequency_current,
-        frequency_ai=frequency_ai,
-        description=data.get("description", ""),
+        description=description,
         tags=tuple(str(tag) for tag in tags),
     )
-    for message in risk_mod.validate_scenario(scenario):
-        collector.error(loc, message)
-    return scenario
+    # The frequency of each state the scenario applies to; a missing one is
+    # reported when the portfolio is validated.
+    frequencies = {}
+    for state in risk_mod.STATES:
+        key = f"frequency_{state}"
+        raw = data.get(key, data.get("frequency"))
+        if raw is not None and scenario.applies(state):
+            frequencies[key] = parse_frequency(raw, f"{loc}.{key}", collector)
+    if None in frequencies.values():
+        return None
+    return replace(scenario, **frequencies)
 
 
 def _parse_penalties(
@@ -506,10 +459,8 @@ def _parse_penalties(
         collector.error(loc, "penalties must be an object")
         return []
     turnover = _require(data, "global_turnover", loc, collector, float)
-    entries = data.get("scenarios", [])
-    if turnover is None or not isinstance(entries, list):
-        if not isinstance(entries, list):
-            collector.error(loc, "penalties.scenarios must be a list")
+    entries = _require(data, "scenarios", loc, collector, list, [])
+    if turnover is None or entries is None:
         return []
     scenarios = []
     for index, entry in enumerate(entries):
@@ -532,7 +483,8 @@ def _parse_penalties(
         rate = parse_frequency(
             entry.get("violation_rate"), f"{entry_loc}.violation_rate", collector
         )
-        if severity is None or rate is None:
+        description = _require(entry, "description", entry_loc, collector, str, "")
+        if severity is None or rate is None or description is None:
             continue
         try:
             scenarios.append(
@@ -542,7 +494,7 @@ def _parse_penalties(
                     turnover,
                     severity,
                     rate,
-                    description=entry.get("description", ""),
+                    description=description,
                 )
             )
         except ValueError as exc:
@@ -563,27 +515,14 @@ def parse_config(
         collector.error("$", "config root must be a JSON object")
         return None, collector.diagnostics
 
-    version = data.get("schema_version")
-    if version is None:
-        collector.error("$", "missing schema_version")
-    elif version != SCHEMA_VERSION:
+    version = _require(data, "schema_version", "$", collector, int)
+    if version is not None and version != SCHEMA_VERSION:
         collector.error("$", f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
 
-    name = data.get("name", "unnamed portfolio")
-    currency = data.get("currency")
-    if not isinstance(currency, str) or not currency:
-        collector.error(
-            "$.currency",
-            "currency must be a single code string; multi-currency portfolios are not supported",
-        )
-        currency = ""
+    name = _require(data, "name", "$", collector, str, "unnamed portfolio")
     horizon = _require(data, "horizon_years", "$", collector, int)
     discount = _require(data, "discount_rate", "$", collector, float)
-    if horizon is None or horizon < 1:
-        if horizon is not None:
-            collector.error("$.horizon_years", f"horizon_years must be >= 1, got {horizon}")
-        return None, collector.diagnostics
-    if discount is None:
+    if horizon is None or discount is None:
         return None, collector.diagnostics
 
     base_dir = source_path.parent if source_path is not None else Path.cwd()
@@ -621,35 +560,19 @@ def parse_config(
     if not isinstance(sim_section, dict):
         collector.error("simulation", "simulation must be an object")
         sim_section = {}
-    worker_raw = sim_section.get("worker_count", 1)
-    worker_count: int | None
-    if worker_raw == "auto":
-        worker_count = None
-    elif isinstance(worker_raw, int) and not isinstance(worker_raw, bool) and worker_raw >= 1:
-        worker_count = worker_raw
-    else:
-        collector.error(
-            "simulation.worker_count", f"must be a positive integer or 'auto', got {worker_raw!r}"
-        )
-        worker_count = 1
+    workers = sim_section.get("worker_count", 1)
     simulation = SimulationConfig(
         iterations=sim_section.get("iterations", 10_000),
         master_seed=sim_section.get("master_seed", 0),
-        worker_count=worker_count,
+        worker_count=None if workers == "auto" else workers,
         target_relative_se=sim_section.get("target_relative_se"),
     )
-    if not isinstance(simulation.iterations, int) or simulation.iterations < 1:
-        collector.error("simulation.iterations", f"must be >= 1, got {simulation.iterations!r}")
-    if not isinstance(simulation.master_seed, int) or isinstance(simulation.master_seed, bool):
-        collector.error("simulation.master_seed", "must be an integer")
-    elif not 0 <= simulation.master_seed < SEED_LIMIT:
-        collector.error(
-            "simulation.master_seed", f"must lie in [0, 2^64), got {simulation.master_seed}"
-        )
+    for message in validate_simulation(simulation):
+        collector.error("simulation", message)
 
     portfolio = Portfolio(
         name=name,
-        currency=currency,
+        currency=data.get("currency", ""),
         horizon_years=horizon,
         discount_rate=discount,
         benefits=tuple(benefit_items),
@@ -664,7 +587,7 @@ def parse_config(
     for message in warnings:
         collector.warning("portfolio", message)
 
-    if collector.has_errors:
+    if has_errors(collector.diagnostics):
         return None, collector.diagnostics
     return (
         PortfolioConfig(
@@ -715,6 +638,9 @@ def load_actuals(
     except json.JSONDecodeError as exc:
         collector.error(f"{path}:{exc.lineno}:{exc.colno}", f"invalid JSON: {exc}")
         return [], collector.diagnostics
+    except UnicodeDecodeError as exc:
+        collector.error(str(path), f"invalid JSON: {exc}")
+        return [], collector.diagnostics
 
     records_raw = data.get("records") if isinstance(data, dict) else None
     if not isinstance(records_raw, list) or not records_raw:
@@ -722,9 +648,11 @@ def load_actuals(
         return [], collector.diagnostics
 
     portfolio = config.portfolio
-    benefit_ids = {item.id for item in portfolio.benefits}
-    cost_ids = {item.id for item in portfolio.capex} | {item.id for item in portfolio.opex}
-    scenario_ids = {s.id for s in portfolio.register.scenarios}
+    known = {
+        "benefits": {item.id for item in portfolio.benefits},
+        "costs": {item.id for item in portfolio.capex} | {item.id for item in portfolio.opex},
+        "losses": {s.id for s in portfolio.register.scenarios},
+    }
 
     records = []
     for index, entry in enumerate(records_raw):
@@ -738,41 +666,43 @@ def load_actuals(
         if not isinstance(year, int) or not isinstance(quarter, int) or not 1 <= quarter <= 4:
             collector.error(loc, "period must carry an integer year and quarter in 1..4")
             continue
-        unknown: list[str] = []
-        benefits_actual = {}
-        for item_id, value in (entry.get("benefits") or {}).items():
-            if item_id not in benefit_ids:
-                unknown.append(item_id)
-            else:
-                benefits_actual[item_id] = float(value)
-        costs_actual = {}
-        for item_id, value in (entry.get("costs") or {}).items():
-            if item_id not in cost_ids:
-                unknown.append(item_id)
-            else:
-                costs_actual[item_id] = float(value)
-        losses_actual = {}
-        for item_id, value in (entry.get("losses") or {}).items():
-            if item_id not in scenario_ids:
-                unknown.append(item_id)
-                continue
-            if not isinstance(value, dict):
-                collector.error(loc, f"loss entry {item_id!r} must be an object")
-                continue
-            losses_actual[item_id] = LossActual(
-                events=int(value.get("events", 0)),
-                total_loss=float(value.get("total_loss", 0.0)),
-            )
-        if unknown:
-            collector.error(loc, "unknown ids: " + ", ".join(sorted(unknown)))
+        sections = {key: _require(entry, key, loc, collector, dict, {}) for key in known}
+        if None in sections.values():
             continue
-        records.append(
-            ActualsRecord(
-                year=year,
-                quarter=quarter,
-                benefits=benefits_actual,
-                costs=costs_actual,
-                losses=losses_actual,
-            )
+        unknown = sorted(
+            item_id
+            for key, section in sections.items()
+            for item_id in section
+            if item_id not in known[key]
         )
+        if unknown:
+            collector.error(loc, "unknown ids: " + ", ".join(unknown))
+            continue
+        reported = len(collector.diagnostics)
+        benefits_actual, costs_actual = (
+            {
+                item_id: _require(sections[key], item_id, f"{loc}.{key}", collector, float)
+                for item_id in sections[key]
+            }
+            for key in ("benefits", "costs")
+        )
+        losses_actual = {}
+        for item_id in sections["losses"]:
+            loss = _require(sections["losses"], item_id, f"{loc}.losses", collector, dict)
+            if loss is not None:
+                where = f"{loc}.losses.{item_id}"
+                losses_actual[item_id] = LossActual(
+                    events=_require(loss, "events", where, collector, int, 0),
+                    total_loss=_require(loss, "total_loss", where, collector, float, 0.0),
+                )
+        if len(collector.diagnostics) == reported:
+            records.append(
+                ActualsRecord(
+                    year=year,
+                    quarter=quarter,
+                    benefits=benefits_actual,
+                    costs=costs_actual,
+                    losses=losses_actual,
+                )
+            )
     return records, collector.diagnostics

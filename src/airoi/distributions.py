@@ -21,6 +21,9 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 # Master seeds lie in [0, SEED_LIMIT): stream keys use the seed's 64 bits.
 SEED_LIMIT = 1 << 64
+# Highest event rate accepted, in events per year: one iteration's severity
+# batch then holds at most 10^6 floats (8 MB).
+MAX_EVENT_RATE = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +376,8 @@ def validate(
         return [f"{label}: unsupported quantity type {type(q).__name__}"]
     if not all(math.isfinite(p) for p in params):
         return [f"{label}: all distribution parameters must be finite, got {params}"]
+    if isinstance(q, (Uniform, Triangular, Pert)) and not math.isfinite(q.hi - q.lo):
+        return [f"{label}: the width hi - lo must be finite, got ({q.lo}, {q.hi})"]
     if isinstance(q, Uniform):
         if not (q.lo <= q.hi):
             problems.append(f"{label}: uniform requires lo <= hi, got ({q.lo}, {q.hi})")
@@ -558,8 +563,6 @@ def uniform_transform(q: UncertainQuantity):
         return None
     if isinstance(q, Uniform):
         lo, width = q.lo, q.hi - q.lo
-        if not math.isfinite(width):
-            return None  # numpy raises OverflowError; the scalar path keeps that
         return lambda u: lo + width * u
     if isinstance(q, Triangular):
         # numpy's random_triangular, both branches.
@@ -597,8 +600,8 @@ def frequency_mean(freq: FrequencyModel) -> float:
 
 def validate_frequency(freq: FrequencyModel, *, label: str = "frequency") -> list[str]:
     rate = frequency_mean(freq)
-    if rate < 0 or not math.isfinite(rate):
-        return [f"{label}: rate must be finite and >= 0, got {rate}"]
+    if not 0 <= rate <= MAX_EVENT_RATE:
+        return [f"{label}: rate must lie in [0, {MAX_EVENT_RATE:g}] events per year, got {rate}"]
     return []
 
 
@@ -640,14 +643,12 @@ def count_draws(
     ``random()`` values its draw used, so later draws of the same stream
     start at position ``consumed``.  Poisson rates below 10 use numpy's
     multiplication method.  Returns None where numpy draws by rejection
-    (Poisson rates of 10 or more) or a point rate does not fit an int64.
+    (Poisson rates of 10 or more).
     """
     rows = uniforms.rows
     if isinstance(freq, PointRate):
         base = int(freq.events_per_year)
         frac = freq.events_per_year - base
-        if base >= 1 << 62:
-            return None
         if frac == 0:
             return np.full(rows, base, dtype=np.int64), np.zeros(rows, dtype=np.int64)
         return base + (uniforms.column(0) < frac), np.ones(rows, dtype=np.int64)

@@ -24,6 +24,7 @@ from . import risk as risk_mod
 from .benefits import BenefitItem
 from .costs import CapexItem, CostRules, OpexItem
 from .distributions import (
+    SEED_LIMIT,
     StreamUniforms,
     SubstreamSampler,
     count_draws,
@@ -48,6 +49,8 @@ ENGINE_METRICS = (
 )
 
 _EARLY_STOP_BLOCK = 1000
+# Longest planning horizon accepted, in years.
+MAX_HORIZON_YEARS = 200
 # Iterations per kernel pass: bounds the per-stream scratch arrays.
 _KERNEL_BLOCK = 4096
 # Iterations with more events than this draw their closed-form severities on
@@ -231,15 +234,24 @@ class SimulationResult:
 
 
 def validate_portfolio(portfolio: Portfolio) -> tuple[list[str], list[str]]:
-    """Structural checks; returns (errors, warnings)."""
+    """Every model rule; returns (errors, warnings).
+
+    Item messages name their item.  Every year bound depends on the
+    horizon, so an invalid horizon is the only error reported.
+    """
     errors: list[str] = []
     warnings: list[str] = []
-    if portfolio.horizon_years < 1:
-        errors.append(f"horizon_years must be >= 1, got {portfolio.horizon_years}")
+    if not 1 <= portfolio.horizon_years <= MAX_HORIZON_YEARS:
+        return [
+            f"horizon_years must lie in [1, {MAX_HORIZON_YEARS}], got {portfolio.horizon_years}"
+        ], warnings
     if not math.isfinite(portfolio.discount_rate) or portfolio.discount_rate < 0:
         errors.append(f"discount_rate must be finite and >= 0, got {portfolio.discount_rate}")
-    if not portfolio.currency or not isinstance(portfolio.currency, str):
-        errors.append("currency must be a single nonempty code")
+    if not isinstance(portfolio.currency, str) or not portfolio.currency:
+        errors.append(
+            "currency must be a single code string; multi-currency portfolios are "
+            f"not supported, got {portfolio.currency!r}"
+        )
 
     seen_benefits: set[str] = set()
     for item in portfolio.benefits:
@@ -279,6 +291,32 @@ def validate_portfolio(portfolio: Portfolio) -> tuple[list[str], list[str]]:
             "scenarios; check that the same loss is not counted twice"
         )
     return errors, warnings
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def validate_simulation(cfg: SimulationConfig) -> list[str]:
+    """Every run-setting rule; returns one message per violation."""
+    errors: list[str] = []
+    if not _is_int(cfg.iterations) or cfg.iterations < 1:
+        errors.append(f"iterations must be an integer >= 1, got {cfg.iterations!r}")
+    if not _is_int(cfg.master_seed) or not 0 <= cfg.master_seed < SEED_LIMIT:
+        errors.append(f"master_seed must be an integer in [0, 2^64), got {cfg.master_seed!r}")
+    if cfg.worker_count is not None and (not _is_int(cfg.worker_count) or cfg.worker_count < 1):
+        errors.append(
+            f"worker_count must be a positive number of workers or 'auto', "
+            f"got {cfg.worker_count!r}"
+        )
+    target = cfg.target_relative_se
+    if target is not None and not (
+        isinstance(target, (int, float))
+        and not isinstance(target, bool)
+        and 0 < target < math.inf
+    ):
+        errors.append(f"target_relative_se must be a finite number > 0, got {target!r}")
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +595,10 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
     its mean, which keeps early stopping deterministic too.
     """
     errors, _ = validate_portfolio(portfolio)
+    errors += validate_simulation(cfg)
     if errors:
-        raise ValueError("portfolio failed validation: " + "; ".join(errors))
-    if cfg.iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {cfg.iterations}")
+        raise ValueError("invalid simulation input: " + "; ".join(errors))
     workers = cfg.worker_count if cfg.worker_count is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError(f"worker_count must be >= 1, got {cfg.worker_count}")
 
     if cfg.target_relative_se is None:
         columns = _run_block(portfolio, cfg.master_seed, 0, cfg.iterations, workers)

@@ -102,7 +102,8 @@ def irr(cashflows: Sequence[float]) -> float | None:
 
     Over a long horizon the discount factor (1 + rate)**t underflows to
     zero near the bracket's lower end, where the NPV lies beyond the float
-    range.  There the NPV counts as an infinity with the sign of
+    range: the division fails, or terms of both signs overflow and their
+    sum is nan.  There the NPV counts as an infinity with the sign of
     NPV * (1 + rate)**T, T the last year, which is finite; so any horizon
     of finite flows gives a root or None, never an error.
     """
@@ -126,12 +127,14 @@ def irr(cashflows: Sequence[float]) -> float | None:
             for cf in flows:
                 total += cf / discount
                 discount *= factor
+            if not math.isnan(total):
+                return total
         except ZeroDivisionError:
-            scaled = 0.0
-            for cf in flows:
-                scaled = scaled * factor + cf
-            return math.copysign(math.inf, scaled) if scaled else 0.0
-        return total
+            pass
+        scaled = 0.0
+        for cf in flows:
+            scaled = scaled * factor + cf
+        return math.copysign(math.inf, scaled) if scaled else 0.0
 
     f_lo = f(lo)
     if changes == 1:

@@ -1,6 +1,8 @@
+import copy
 import csv
 import io
 import json
+import random
 
 import pytest
 
@@ -384,6 +386,35 @@ def test_track_unknown_id_exits_with_listing(tmp_path, capsys):
     assert "phantom" in err
 
 
+def run_track(tmp_path, capsys, actuals: bytes):
+    path = write_config(tmp_path, minimal_config())
+    actuals_path = tmp_path / "actuals.json"
+    actuals_path.write_bytes(actuals)
+    return run_cli(capsys, "track", str(path), str(actuals_path))
+
+
+def test_track_benefits_list_is_a_diagnostic(tmp_path, capsys):
+    record = {"period": {"year": 1, "quarter": 1}, "benefits": [1]}
+    code, out, err = run_track(tmp_path, capsys, json.dumps({"records": [record]}).encode())
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == "error: records[0]: field 'benefits' has the wrong type: [1]\n"
+
+
+def test_track_text_actual_is_a_diagnostic(tmp_path, capsys):
+    record = {"period": {"year": 1, "quarter": 1}, "benefits": {"automation": "abc"}}
+    code, out, err = run_track(tmp_path, capsys, json.dumps({"records": [record]}).encode())
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == (
+        "error: records[0].benefits: field 'automation' must be a finite number, got 'abc'\n"
+    )
+
+
+def test_track_actuals_not_utf8_is_a_diagnostic(tmp_path, capsys):
+    code, out, err = run_track(tmp_path, capsys, b'{"records": "\xff"}')
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith("error: ") and "invalid JSON" in err and err.count("\n") == 1
+
+
 def test_track_empty_actuals_rejected(tmp_path, capsys):
     path = write_config(tmp_path, minimal_config())
     actuals_path = tmp_path / "actuals.json"
@@ -451,6 +482,93 @@ def test_round_trip_valid_config_works_with_every_subcommand(tmp_path, capsys):
 
 
 # -- exit-code contract -------------------------------------------------------------
+
+
+def test_bad_benefit_is_reported_once(tmp_path, capsys):
+    data = minimal_config()
+    data["benefits"][0].update(start_year=2, end_year=1)
+    code, _, err = run_cli(capsys, "validate", str(write_config(tmp_path, data)))
+    assert code == EXIT_VALIDATION
+    assert err == "error: portfolio: benefit 'automation': start_year 2 exceeds end_year 1\n"
+
+
+def test_fsum_overflow_is_one_error_line(tmp_path, capsys):
+    data = minimal_config()
+    data["benefits"].append({"id": "huge", "kind": "revenue_uplift", "annual_value": 1e308})
+    path = write_config(tmp_path, data)
+    for command, *flags in (
+        ("evaluate",),
+        ("simulate", "--iterations", "20"),
+        ("plotdata", "--metric", "npv", "--iterations", "20"),
+    ):
+        code, out, err = run_cli(capsys, command, str(path), *flags)
+        assert (code, out) == (EXIT_VALIDATION, ""), command
+        assert err == "error: a result is outside the float range: intermediate overflow in fsum\n"
+
+
+def test_infinite_report_value_is_one_error_line(tmp_path, capsys):
+    # A finite severity whose mean is not: the report cannot hold it.
+    data = minimal_config()
+    data["risks"][0]["sle"] = {"kind": "lognormal", "median": 1e300, "sigma": 30}
+    code, out, err = run_cli(capsys, "evaluate", str(write_config(tmp_path, data)))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith("error: a result is outside the float range: Out of range float")
+    assert err.count("\n") == 1
+
+
+_MUTATION_VALUES = ("x", [], {}, None, True, -1, 0, 1e308, 2**64)
+_SWEEP_COMMANDS = (
+    ("validate",),
+    ("evaluate",),
+    ("simulate", "--iterations", "20"),
+    ("plotdata", "--metric", "npv", "--iterations", "20"),
+)
+
+
+def _field_paths(node, prefix=()):
+    """Every key path of a JSON document, containers included."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+def test_config_mutation_sweep_ends_cleanly(tmp_path, capsys, reference_config_path):
+    # Every field of the reference portfolio, each set in turn to two values
+    # drawn (seeded) from a fixed list of wrong types and extreme numbers.
+    # Every command must end with exit 0, 2 or 3 and no traceback, and
+    # every stderr line must be a diagnostic that appears once.
+    reference = json.loads(reference_config_path.read_text())
+    rng = random.Random(20261018)
+    path = tmp_path / "mutated.json"
+    failures = []
+    for field in _field_paths(reference):
+        for value in rng.sample(_MUTATION_VALUES, 2):
+            data = copy.deepcopy(reference)
+            node = data
+            for key in field[:-1]:
+                node = node[key]
+            node[field[-1]] = value
+            path.write_text(json.dumps(data))
+            for command, *flags in _SWEEP_COMMANDS:
+                case = ("/".join(map(str, field)), value, command)
+                try:
+                    code = main([command, str(path), *flags])
+                except Exception as exc:
+                    failures.append((*case, repr(exc)))
+                    continue
+                lines = capsys.readouterr().err.splitlines()
+                if code not in (EXIT_OK, EXIT_VALIDATION, EXIT_IO):
+                    failures.append((*case, f"exit {code}"))
+                for line in lines:
+                    if not line.startswith(("error:", "warning:")) or lines.count(line) > 1:
+                        failures.append((*case, line))
+    assert not failures, failures[:20]
 
 
 def test_usage_error_exits_two():

@@ -163,6 +163,32 @@ def test_master_seed_outside_64_bits_rejected(tmp_path):
     assert config.simulation.master_seed == 2**64 - 1
 
 
+def test_target_relative_se_checked(tmp_path):
+    for value in ("x", -1, 0, True):
+        data = minimal_config()
+        data["simulation"]["target_relative_se"] = value
+        config, diagnostics = load_data(tmp_path, data)
+        assert config is None
+        assert error_messages(diagnostics) == [
+            f"error: simulation: target_relative_se must be a finite number > 0, got {value!r}"
+        ]
+    data["simulation"]["target_relative_se"] = 0.01
+    config, diagnostics = load_data(tmp_path, data)
+    assert not has_errors(diagnostics)
+    assert config.simulation.target_relative_se == 0.01
+
+
+def test_cost_rate_of_wrong_type_rejected(tmp_path):
+    for value in ("high", [], None):
+        data = minimal_config()
+        data["costs"]["rules"]["maintenance_rate"] = value
+        config, diagnostics = load_data(tmp_path, data)
+        assert config is None
+        assert error_messages(diagnostics) == [
+            f"error: costs.rules: field 'maintenance_rate' must be a finite number, got {value!r}"
+        ]
+
+
 def test_triangular_ordering_rejected(tmp_path):
     data = minimal_config()
     data["risks"][0]["sle"] = {"kind": "triangular", "lo": 3, "mode": 2, "hi": 1}

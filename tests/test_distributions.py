@@ -24,6 +24,7 @@ from airoi.distributions import (
     stream_words,
     support,
     validate,
+    validate_frequency,
 )
 
 ALL_VARIANTS = [
@@ -204,8 +205,12 @@ def test_validate_rejects_nonfinite_parameters():
         Triangular(0.0, nan, 1.0),
         Pert(-inf, 0.0, 1.0),
         Lognormal(1.0, nan),
+        Uniform(-1e308, 1e308),
+        Triangular(-1e308, 0.0, 1e308),
+        Pert(-1e308, 0.0, 1e308),
     ):
         assert any("finite" in p for p in validate(quantity)), quantity
+    assert validate(Uniform(-1e307, 1e307)) == []
 
 
 # -- frequency models ---------------------------------------------------------
@@ -214,6 +219,15 @@ def test_validate_rejects_nonfinite_parameters():
 def test_frequency_means():
     assert frequency_mean(PointRate(2.5)) == 2.5
     assert frequency_mean(PoissonRate(1.5)) == 1.5
+
+
+def test_validate_frequency_bounds_the_rate():
+    for rate in (0.0, 2.5, 1e6):
+        assert validate_frequency(PointRate(rate)) == []
+        assert validate_frequency(PoissonRate(rate)) == []
+    for rate in (-1.0, math.nextafter(1e6, math.inf), 1e9, math.inf, math.nan):
+        assert validate_frequency(PointRate(rate))
+        assert validate_frequency(PoissonRate(rate))
 
 
 def test_point_rate_integer_is_exact():

@@ -31,6 +31,7 @@ from airoi.engine import (
     standard_error,
     summarize,
     validate_portfolio,
+    validate_simulation,
 )
 from airoi.risk import RiskRegister, RiskScenario, ale_simulate
 
@@ -315,6 +316,32 @@ def test_run_simulation_validates_first():
         run_simulation(portfolio, SimulationConfig(iterations=10, master_seed=1))
     with pytest.raises(ValueError):
         run_simulation(small_portfolio(), SimulationConfig(iterations=0, master_seed=1))
+
+
+def test_validate_portfolio_bounds_the_horizon():
+    # Validation only: no model runs at the bound.
+    for horizon in (2, 200):  # one year is too short for its year-1 benefit
+        assert validate_portfolio(small_portfolio(horizon=horizon)) == ([], [])
+    for horizon in (0, 201, 2**64):
+        errors, _ = validate_portfolio(small_portfolio(horizon=horizon))
+        assert errors == [f"horizon_years must lie in [1, 200], got {horizon}"]
+
+
+def test_validate_simulation_checks_every_setting():
+    assert validate_simulation(SimulationConfig()) == []
+    valid = SimulationConfig(
+        iterations=1, master_seed=2**64 - 1, worker_count=None, target_relative_se=1e-9
+    )
+    assert validate_simulation(valid) == []
+    for field, values in {
+        "iterations": (0, -1, 2.0, True, "x", None),
+        "master_seed": (-1, 2**64, 1.0, False, "x", None),
+        "worker_count": (0, -2, 1.5, True, "auto", "many"),
+        "target_relative_se": (0, -1, math.inf, math.nan, True, "x", []),
+    }.items():
+        for value in values:
+            errors = validate_simulation(dataclasses.replace(valid, **{field: value}))
+            assert len(errors) == 1 and errors[0].startswith(field), (field, value)
 
 
 def test_validate_portfolio_reports_duplicates_and_double_counting():

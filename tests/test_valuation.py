@@ -146,6 +146,15 @@ def test_irr_defined_on_every_horizon():
         assert irr([-cf for cf in flows]) == rate
 
 
+def test_irr_ignores_nan_npv_at_bracket_end():
+    # From 106 years on, terms of both signs overflow at -0.999 and their
+    # sum is inf - inf = nan; the root must not move to the bracket's end.
+    root = irr([-1.0] * 98 + [1.0] * 2)
+    assert abs(root - (math.sqrt(0.5) - 1.0)) <= 1e-9
+    for horizon in range(100, 121):
+        assert irr([-1.0] * (horizon - 2) + [1.0] * 2) == pytest.approx(root, abs=1e-12)
+
+
 def test_irr_root_outside_bracket_is_undefined():
     # Root above 10.0 (1100% return) falls outside the search bracket.
     assert irr([-1.0, 12.5]) is None
