@@ -15,8 +15,9 @@ import json
 import sys
 import time
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -86,6 +87,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_VALIDATION
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="airoi",
@@ -228,11 +230,9 @@ def _body_hash(body: dict) -> str:
     return hashlib.sha256(_canonical_json(body).encode("utf-8")).hexdigest()
 
 
-def _valuations(
-    outcomes: Iterable[IterationOutcome], portfolio: Portfolio
-) -> list[ValuationOutcome]:
+def _valuations(columns: SimulationColumns, portfolio: Portfolio) -> list[ValuationOutcome]:
     discount = DiscountSpec(portfolio.discount_rate)
-    return [valuation_mod.evaluate_outcome(outcome, discount) for outcome in outcomes]
+    return [valuation_mod.evaluate_outcome(row, discount) for row in columns.iter_rows()]
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +297,12 @@ def cmd_simulate(args) -> int:
 
     started = time.perf_counter()
     result = run_simulation(portfolio, sim)
-    valuations = _valuations(result.columns.iter_outcomes(), portfolio)
+    valuations = _valuations(result.columns, portfolio)
     report = valuation_mod.build_report(valuations)
     elapsed = time.perf_counter() - started
 
     if args.dump_iterations:
-        status = _dump_iterations(
-            args.dump_iterations, result.columns.iter_outcomes(), valuations
-        )
+        status = _dump_iterations(args.dump_iterations, result.columns, valuations)
         if status != EXIT_OK:
             return status
     if args.metrics_csv:
@@ -393,23 +391,17 @@ def _metric_csv_rows(report: ValuationReport) -> list[list]:
 
 
 def _dump_iterations(
-    path: str,
-    outcomes: Iterable[IterationOutcome],
-    valuations: Sequence[ValuationOutcome],
+    path: str, columns: SimulationColumns, valuations: Sequence[ValuationOutcome]
 ) -> int:
     try:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(_DUMP_COLUMNS)
-            for outcome, valuation in zip(outcomes, valuations):
+            for index, (row, valuation) in enumerate(zip(columns.iter_rows(), valuations)):
                 writer.writerow(
                     [
-                        outcome.index,
-                        outcome.gross_benefits,
-                        outcome.risk_reduction,
-                        outcome.risk_increase,
-                        outcome.tco_total,
-                        outcome.risk_delta,
+                        index,
+                        *row[:5],  # the engine metrics
                         valuation.net_risk_adjusted_benefit,
                         valuation.npv,
                         "" if valuation.roi_ratio is None else valuation.roi_ratio,
@@ -443,9 +435,10 @@ def cmd_delta(args) -> int:
                 f"{delta:.2f}",
             ]
         )
-    lines.append(
-        ["TOTAL", "", f"{total_current:.2f}", f"{total_ai:.2f}", f"{total_delta:.2f}"]
-    )
+    totals = (total_current, total_ai, total_delta)
+    if not np.isfinite(totals).all():
+        raise ValueError(f"scenario ALE totals are not finite: {totals}")
+    lines.append(["TOTAL", "", *(f"{total:.2f}" for total in totals)])
     return _write_csv(lines, args.out)
 
 
@@ -627,7 +620,7 @@ def cmd_plotdata(args) -> int:
     if sim is None:
         return EXIT_VALIDATION
     result = run_simulation(config.portfolio, sim)
-    valuations = _valuations(result.columns.iter_outcomes(), config.portfolio)
+    valuations = _valuations(result.columns, config.portfolio)
     values = sorted(v for v in (getattr(o, metric) for o in valuations) if v is not None)
     if not values:
         print(f"error: metric {metric!r} is undefined for every iteration", file=sys.stderr)

@@ -456,6 +456,15 @@ def scaled(q: UncertainQuantity, factor: float) -> UncertainQuantity:
     raise TypeError(f"unsupported quantity type {type(q).__name__}")
 
 
+def degenerate_value(q: UncertainQuantity) -> float:
+    """The constant a degenerate quantity always takes (see :func:`is_degenerate`)."""
+    if isinstance(q, Point):
+        return q.value
+    if isinstance(q, Lognormal):
+        return q.median
+    return q.lo
+
+
 @lru_cache(maxsize=None)
 def make_sampler(q: UncertainQuantity):
     """Compile ``q`` into a single-draw closure over a generator.
@@ -463,34 +472,21 @@ def make_sampler(q: UncertainQuantity):
     The closure consumes the generator's stream exactly as repeated
     :func:`sample` calls would; hot loops use it to skip per-call dispatch.
     """
-    if isinstance(q, Point):
-        value = q.value
+    if is_degenerate(q):
+        value = degenerate_value(q)
         return lambda gen: value
     if isinstance(q, Uniform):
-        if q.hi == q.lo:
-            lo = q.lo
-            return lambda gen: lo
         lo, hi = q.lo, q.hi
         return lambda gen: float(gen.uniform(lo, hi))
     if isinstance(q, Triangular):
-        if q.hi == q.lo:
-            lo = q.lo
-            return lambda gen: lo
         lo, mode, hi = q.lo, q.mode, q.hi
         return lambda gen: float(gen.triangular(lo, mode, hi))
     if isinstance(q, Pert):
-        width = q.hi - q.lo
-        if width == 0:
-            lo = q.lo
-            return lambda gen: lo
-        lo = q.lo
+        lo, width = q.lo, q.hi - q.lo
         alpha = 1.0 + 4.0 * (q.mode - q.lo) / width
         beta = 1.0 + 4.0 * (q.hi - q.mode) / width
         return lambda gen: lo + width * float(gen.beta(alpha, beta))
     if isinstance(q, Lognormal):
-        if q.sigma == 0:
-            median = q.median
-            return lambda gen: median
         median, sigma = q.median, q.sigma
         return lambda gen: median * math.exp(sigma * float(gen.standard_normal()))
     raise TypeError(f"unsupported quantity type {type(q).__name__}")
@@ -504,34 +500,21 @@ def make_batch_sampler(q: UncertainQuantity):
     calls would (numpy vector draws advance the stream identically); the
     sum itself is accumulated in vector order.
     """
-    if isinstance(q, Point):
-        value = q.value
+    if is_degenerate(q):
+        value = degenerate_value(q)
         return lambda gen, n: value * n
     if isinstance(q, Uniform):
-        if q.hi == q.lo:
-            lo = q.lo
-            return lambda gen, n: lo * n
         lo, hi = q.lo, q.hi
         return lambda gen, n: float(gen.uniform(lo, hi, size=n).sum())
     if isinstance(q, Triangular):
-        if q.hi == q.lo:
-            lo = q.lo
-            return lambda gen, n: lo * n
         lo, mode, hi = q.lo, q.mode, q.hi
         return lambda gen, n: float(gen.triangular(lo, mode, hi, size=n).sum())
     if isinstance(q, Pert):
-        width = q.hi - q.lo
-        if width == 0:
-            lo = q.lo
-            return lambda gen, n: lo * n
-        lo = q.lo
+        lo, width = q.lo, q.hi - q.lo
         alpha = 1.0 + 4.0 * (q.mode - q.lo) / width
         beta = 1.0 + 4.0 * (q.hi - q.mode) / width
         return lambda gen, n: lo * n + width * float(gen.beta(alpha, beta, size=n).sum())
     if isinstance(q, Lognormal):
-        if q.sigma == 0:
-            median = q.median
-            return lambda gen, n: median * n
         median, sigma = q.median, q.sigma
 
         def draw_lognormal_sum(gen, n: int) -> float:

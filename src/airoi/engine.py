@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from .distributions import (
     StreamUniforms,
     SubstreamSampler,
     count_draws,
+    degenerate_value,
     is_degenerate,
     make_batch_sampler,
     make_count_sampler,
@@ -46,6 +48,11 @@ ENGINE_METRICS = (
     "risk_increase",
     "tco_total",
     "risk_delta",
+)
+
+# One iteration's engine metrics and per-year rows, as SimulationColumns.iter_rows reads them.
+IterationRow = namedtuple(
+    "IterationRow", ENGINE_METRICS + ("cash_flows", "cash_basis_flows", "tco_per_year")
 )
 
 _EARLY_STOP_BLOCK = 1000
@@ -116,11 +123,6 @@ class Portfolio:
     register: RiskRegister = RiskRegister()
 
 
-def _row_values(arrays: list[np.ndarray], part: slice):
-    """Per-row tuples of Python floats over the ``part`` rows of 1-D arrays."""
-    return zip(*(array[part].tolist() for array in arrays)) if arrays else repeat(())
-
-
 @dataclass(eq=False)
 class SimulationColumns:
     """Struct-of-arrays results: row ``r`` of every array is iteration ``r``.
@@ -153,8 +155,7 @@ class SimulationColumns:
         first = parts[0]
         return cls(
             **{
-                name: stack(getattr(part, name) for part in parts)
-                for name in ENGINE_METRICS + ("cash_flows", "cash_basis_flows", "tco_per_year")
+                name: stack(getattr(part, name) for part in parts) for name in IterationRow._fields
             },
             benefit_values={
                 key: stack(part.benefit_values[key] for part in parts)
@@ -172,60 +173,53 @@ class SimulationColumns:
     def __len__(self) -> int:
         return self.gross_benefits.shape[0]
 
-    def iter_outcomes(self) -> Iterator[IterationOutcome]:
-        """One :class:`IterationOutcome` per row, in iteration order.
+    def iter_rows(self) -> Iterator[IterationRow]:
+        """One :class:`IterationRow` of Python floats per iteration, in order.
 
-        Objects are built as they are read, one kernel block of rows at a
-        time, so a caller that consumes them in turn never holds them all.
+        Rows are read one kernel block at a time, so a caller that consumes
+        them in turn never holds them all.
         """
-        benefit_ids = tuple(self.benefit_values)
-        cost_ids = tuple(self.cost_values)
-        scenario_ids = tuple(self.scenario_losses)
+        arrays = [getattr(self, name) for name in IterationRow._fields]
         for start in range(0, len(self), _KERNEL_BLOCK):
-            part = slice(start, start + _KERNEL_BLOCK)
-            rows = zip(
-                range(start, len(self)),
-                _row_values([getattr(self, name) for name in ENGINE_METRICS], part),
-                map(tuple, self.cash_flows[part].tolist()),
-                map(tuple, self.cash_basis_flows[part].tolist()),
-                map(tuple, self.tco_per_year[part].tolist()),
-                _row_values(list(self.benefit_values.values()), part),
-                _row_values(list(self.cost_values.values()), part),
-                _row_values([current for current, _ in self.scenario_losses.values()], part),
-                _row_values([ai for _, ai in self.scenario_losses.values()], part),
+            part = [array[start : start + _KERNEL_BLOCK].tolist() for array in arrays]
+            yield from map(IterationRow._make, zip(*part))
+
+    def iter_outcomes(self) -> Iterator[IterationOutcome]:
+        """One :class:`IterationOutcome` per row, in iteration order."""
+        benefits = {key: values.tolist() for key, values in self.benefit_values.items()}
+        costs = {key: values.tolist() for key, values in self.cost_values.items()}
+        losses = {
+            key: list(zip(current.tolist(), ai.tolist()))
+            for key, (current, ai) in self.scenario_losses.items()
+        }
+        for i, row in enumerate(self.iter_rows()):
+            yield IterationOutcome(
+                i,
+                *row[:5],
+                *map(tuple, row[5:]),
+                benefit_values={key: values[i] for key, values in benefits.items()},
+                cost_values={key: values[i] for key, values in costs.items()},
+                scenario_losses={key: values[i] for key, values in losses.items()},
             )
-            for index, metrics, flows, cash_flows, tco_per_year, benefits, costs, current, ai in rows:
-                gross, reduction, increase, tco_total, delta = metrics
-                yield IterationOutcome(
-                    index=index,
-                    gross_benefits=gross,
-                    risk_reduction=reduction,
-                    risk_increase=increase,
-                    tco_total=tco_total,
-                    risk_delta=delta,
-                    cash_flows=flows,
-                    cash_basis_flows=cash_flows,
-                    tco_per_year=tco_per_year,
-                    benefit_values=dict(zip(benefit_ids, benefits)),
-                    cost_values=dict(zip(cost_ids, costs)),
-                    scenario_losses=dict(zip(scenario_ids, zip(current, ai))),
-                )
 
 
 @dataclass(eq=False)
 class SimulationResult:
-    """A run's columns and engine-metric summaries.
+    """A run's columns.
 
-    ``outcomes`` is a view: the per-iteration objects are built from
+    ``outcomes`` and ``summaries`` are views: they are built from
     ``columns`` on first read and then kept.
     """
 
     columns: SimulationColumns
-    summaries: dict[str, SampleSummary]
 
     @cached_property
     def outcomes(self) -> list[IterationOutcome]:
         return list(self.columns.iter_outcomes())
+
+    @cached_property
+    def summaries(self) -> dict[str, SampleSummary]:
+        return {name: summarize(getattr(self.columns, name).tolist()) for name in ENGINE_METRICS}
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +456,7 @@ def _draw_values(
 ) -> np.ndarray:
     """One draw of ``quantity`` per iteration in ``[start, stop)``."""
     if words is None:
-        return np.full(stop - start, make_sampler(quantity)(None), dtype=float)
+        return np.full(stop - start, degenerate_value(quantity), dtype=float)
     transform = uniform_transform(quantity)
     if transform is not None:
         return transform(StreamUniforms(words, start, stop).column(0))
@@ -485,7 +479,7 @@ def _draw_losses(
     else:
         counts, consumed = drawn
         if is_degenerate(severity):
-            return np.where(counts > 0, make_sampler(severity)(None) * counts, 0.0)
+            return np.where(counts > 0, degenerate_value(severity) * counts, 0.0)
         transform = uniform_transform(severity)
         if transform is None:
             scalar_rows = np.flatnonzero(counts).tolist()
@@ -568,28 +562,12 @@ def _run_chunk(
     )
 
 
-def _run_block(
-    portfolio: Portfolio, master_seed: int, start: int, stop: int, workers: int
-) -> SimulationColumns:
-    if workers <= 1 or stop - start < 2 * workers:
-        return _run_chunk(portfolio, master_seed, start, stop)
-    bounds = [
-        start + round(i * (stop - start) / workers) for i in range(workers + 1)
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_chunk, portfolio, master_seed, bounds[i], bounds[i + 1])
-            for i in range(workers)
-            if bounds[i] < bounds[i + 1]
-        ]
-        return SimulationColumns.concat([future.result() for future in futures])
-
-
 def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationResult:
-    """Run the configured number of iterations and summarize engine metrics.
+    """Run the configured number of iterations.
 
     Outcome ``i`` depends only on the master seed, the item stream keys,
-    and ``i`` itself; worker count changes scheduling, never results.  With
+    and ``i`` itself; worker count changes scheduling, never results, so
+    no more workers run than the host has CPUs.  With
     ``target_relative_se`` set, evaluation proceeds in fixed blocks and
     stops once the net-benefit standard error is small enough relative to
     its mean, which keeps early stopping deterministic too.
@@ -598,39 +576,42 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
     errors += validate_simulation(cfg)
     if errors:
         raise ValueError("invalid simulation input: " + "; ".join(errors))
-    workers = cfg.worker_count if cfg.worker_count is not None else (os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = min(cfg.worker_count or cpus, cpus)
+    target = cfg.target_relative_se
+    step = cfg.iterations if target is None else _EARLY_STOP_BLOCK
 
-    if cfg.target_relative_se is None:
-        columns = _run_block(portfolio, cfg.master_seed, 0, cfg.iterations, workers)
-    else:
-        blocks: list[SimulationColumns] = []
-        nets: list[float] = []
-        start = 0
-        while start < cfg.iterations:
-            stop = min(start + _EARLY_STOP_BLOCK, cfg.iterations)
-            block = _run_block(portfolio, cfg.master_seed, start, stop, workers)
+    blocks: list[SimulationColumns] = []
+    nets: list[float] = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for start in range(0, cfg.iterations, step):
+            stop = min(start + step, cfg.iterations)
+            if pool is None or stop - start < 2 * workers:
+                block = _run_chunk(portfolio, cfg.master_seed, start, stop)
+            else:
+                # One chunk per worker: a block can be smaller than one kernel block.
+                bounds = [start + round(i * (stop - start) / workers) for i in range(workers + 1)]
+                futures = [
+                    pool.submit(_run_chunk, portfolio, cfg.master_seed, lo, hi)
+                    for lo, hi in zip(bounds, bounds[1:])
+                ]
+                block = SimulationColumns.concat([future.result() for future in futures])
             blocks.append(block)
-            nets.extend(
-                (
-                    block.gross_benefits
-                    + block.risk_reduction
-                    - block.risk_increase
-                    - block.tco_total
-                ).tolist()
-            )
-            start = stop
-            if len(nets) >= 2:
+            if target is not None:
+                nets.extend(
+                    (
+                        block.gross_benefits
+                        + block.risk_reduction
+                        - block.risk_increase
+                        - block.tco_total
+                    ).tolist()
+                )
                 net_mean = math.fsum(nets) / len(nets)
-                if net_mean != 0:
-                    relative = standard_error(nets) / abs(net_mean)
-                    if relative <= cfg.target_relative_se:
+                if len(nets) >= 2 and net_mean != 0:
+                    if standard_error(nets) / abs(net_mean) <= target:
                         break
-        columns = SimulationColumns.concat(blocks)
+    return SimulationResult(columns=SimulationColumns.concat(blocks))
 
-    summaries = {
-        name: summarize(getattr(columns, name).tolist()) for name in ENGINE_METRICS
-    }
-    return SimulationResult(columns=columns, summaries=summaries)
 
 # ---------------------------------------------------------------------------
 # Summary statistics

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 from .engine import SampleSummary, summarize
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .engine import IterationOutcome
+    from .engine import IterationOutcome, IterationRow
 
 # Metrics whose defined values feed each summary; IRR, payback, and the ROI
 # ratio can be undefined for an iteration and are excluded with a count.
@@ -201,9 +201,9 @@ def payback_period(cashflows: Sequence[float]) -> float | None:
 
 
 def evaluate_outcome(
-    outcome: "IterationOutcome", discount: DiscountSpec
+    outcome: "IterationOutcome | IterationRow", discount: DiscountSpec
 ) -> ValuationOutcome:
-    """Financial metrics for one iteration.
+    """Financial metrics for one iteration, from its outcome or its row.
 
     NPV and the ROI denominator use the amortized cost schedule; IRR and
     payback run on cash-basis flows, since both measure recovery of actual

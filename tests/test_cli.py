@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -7,6 +8,9 @@ import random
 import pytest
 
 from airoi.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from airoi.config import load_config
+from airoi.engine import run_simulation
+from airoi.valuation import DiscountSpec, evaluate_outcome
 from conftest import minimal_config, write_config
 
 
@@ -171,6 +175,20 @@ def test_simulate_dump_iterations(tmp_path, capsys):
     ]
     assert len(rows) == 51
     assert rows[1][0] == "0"
+    # Every cell, in column order, against the library path.
+    config, _ = load_config(path)
+    sim = dataclasses.replace(config.simulation, iterations=50, master_seed=1)
+    discount = DiscountSpec(config.portfolio.discount_rate)
+    for row, o in zip(rows[1:], run_simulation(config.portfolio, sim).outcomes, strict=True):
+        v = evaluate_outcome(o, discount)
+        assert row == [
+            "" if value is None else str(value)
+            for value in (
+                o.index, o.gross_benefits, o.risk_reduction, o.risk_increase, o.tco_total,
+                o.risk_delta, v.net_risk_adjusted_benefit, v.npv, v.roi_ratio, v.irr,
+                v.payback_years,
+            )
+        ]
 
 
 def test_simulate_out_file_and_io_failure(tmp_path, capsys):
@@ -285,7 +303,6 @@ def test_delta_introduction_scenario_total_negative(tmp_path, capsys):
 
 
 def test_delta_classification_matches_api(tmp_path, capsys, reference_config_path):
-    from airoi.config import load_config
     from airoi.risk import classify_scenario
 
     code, out, _ = run_cli(capsys, "delta", str(reference_config_path))
@@ -510,16 +527,22 @@ def test_infinite_report_value_is_one_error_line(tmp_path, capsys):
     # A finite severity whose mean is not: the report cannot hold it.
     data = minimal_config()
     data["risks"][0]["sle"] = {"kind": "lognormal", "median": 1e300, "sigma": 30}
-    code, out, err = run_cli(capsys, "evaluate", str(write_config(tmp_path, data)))
-    assert (code, out) == (EXIT_VALIDATION, "")
-    assert err.startswith("error: a result is outside the float range: Out of range float")
-    assert err.count("\n") == 1
+    path = str(write_config(tmp_path, data))
+    for command, message in (
+        ("evaluate", "Out of range float"),
+        ("delta", "scenario ALE totals are not finite: (inf, 0.0, inf)"),
+    ):
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (EXIT_VALIDATION, ""), command
+        assert err.startswith("error: a result is outside the float range: " + message)
+        assert err.count("\n") == 1
 
 
 _MUTATION_VALUES = ("x", [], {}, None, True, -1, 0, 1e308, 2**64)
 _SWEEP_COMMANDS = (
     ("validate",),
     ("evaluate",),
+    ("delta",),
     ("simulate", "--iterations", "20"),
     ("plotdata", "--metric", "npv", "--iterations", "20"),
 )

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
 
+from airoi import engine
 from airoi.benefits import BenefitItem, benefit_schedule
 from airoi.costs import CapexItem, CostRules, OpexItem, tco_pair
 from airoi.distributions import (
@@ -34,6 +36,7 @@ from airoi.engine import (
     validate_simulation,
 )
 from airoi.risk import RiskRegister, RiskScenario, ale_simulate
+from airoi.valuation import DiscountSpec, evaluate_outcome
 
 
 def small_portfolio(extra_scenarios: tuple = (), horizon: int = 4) -> Portfolio:
@@ -104,20 +107,49 @@ def test_same_seed_repeats_bit_identically():
     assert first.summaries == second.summaries
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(monkeypatch):
+    # A stand-in executor runs each submitted chunk inline, so no process
+    # starts; the host is taken to have three CPUs.  A run asks for 100000
+    # workers, uses three and builds one executor, also when early stopping
+    # at an unreachable target runs every 1000-iteration block.
+    built, chunks = [], []
+
+    class InlineExecutor(Executor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def submit(self, fn, *args):
+            chunks.append(args[-2:])
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
     portfolio = small_portfolio()
-    # 8199 iterations: the serial run crosses the kernel's 4096-iteration
-    # blocks, and three workers split the range into uneven chunks.
+    discount = DiscountSpec(portfolio.discount_rate)
+    # 8199 iterations: the serial run and its rows cross the kernel's
+    # 4096-iteration blocks, and three workers split the range into chunks
+    # that are not kernel-aligned.
     for iterations in (240, 8_199):
         serial = run_simulation(
             portfolio, SimulationConfig(iterations=iterations, master_seed=5, worker_count=1)
         )
-        parallel = run_simulation(
-            portfolio, SimulationConfig(iterations=iterations, master_seed=5, worker_count=3)
-        )
-        assert serial.outcomes == parallel.outcomes
-        assert serial.summaries == parallel.summaries
+        assert built == []
+        for target, blocks in ((None, 1), (1e-12, math.ceil(iterations / 1000))):
+            parallel = run_simulation(
+                portfolio,
+                SimulationConfig(iterations, 5, worker_count=100_000, target_relative_se=target),
+            )
+            assert (built, len(chunks)) == ([3], 3 * blocks)
+            built.clear()
+            chunks.clear()
+            assert serial.outcomes == parallel.outcomes
+            assert serial.summaries == parallel.summaries
         assert [o.index for o in parallel.outcomes] == list(range(iterations))
+        valuations = [evaluate_outcome(row, discount) for row in serial.columns.iter_rows()]
+        assert valuations == [evaluate_outcome(o, discount) for o in serial.outcomes]
+        assert [v.risk_delta for v in valuations] == serial.columns.risk_delta.tolist()
 
 
 def test_outcomes_reproducible_from_named_streams():
@@ -548,6 +580,10 @@ def test_random_portfolios_satisfy_core_invariants():
             assert all(v >= 0.0 for v in outcome.tco_per_year)
         for summary in result.summaries.values():
             assert summary.min <= summary.p10 <= summary.p50 <= summary.p90 <= summary.max
+        discount = DiscountSpec(portfolio.discount_rate)
+        assert [evaluate_outcome(row, discount) for row in result.columns.iter_rows()] == [
+            evaluate_outcome(o, discount) for o in result.outcomes
+        ]
 
 
 # -- summary statistics ----------------------------------------------------------
