@@ -14,10 +14,9 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from functools import cache
-from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .config import (
 from .costs import schedule_csv_rows, tco as costs_tco
 from .distributions import percentile
 from .engine import (
+    ENGINE_METRICS,
     IterationOutcome,
     Portfolio,
     SampleSummary,
@@ -56,19 +56,8 @@ REPORT_SCHEMA_VERSION = 1
 # Currency-valued fields are rounded to 2 decimals at serialization only.
 _CURRENCY_METRICS = {"net_risk_adjusted_benefit", "npv", "risk_delta"}
 
-_DUMP_COLUMNS = (
-    "iteration",
-    "gross_benefits",
-    "risk_reduction",
-    "risk_increase",
-    "tco_total",
-    "risk_delta",
-    "net_risk_adjusted_benefit",
-    "npv",
-    "roi_ratio",
-    "irr",
-    "payback_years",
-)
+# The valuation fields of a --dump-iterations row, after the engine metrics.
+_DUMP_VALUATION = ("net_risk_adjusted_benefit", "npv", "roi_ratio", "irr", "payback_years")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -189,16 +178,31 @@ def _resolve_simulation(config: PortfolioConfig, args) -> SimulationConfig | Non
     return None if errors else sim
 
 
-def _write_text(text: str, out: str | None) -> int:
+def _write(out: str | None, emit: Callable[[TextIO], object]) -> int:
+    """Run ``emit`` on ``out``, or on stdout when ``out`` is None.
+
+    The one place an output path is opened: a failure to write it is one
+    error line and exit 3.
+    """
     if out is None:
-        sys.stdout.write(text)
+        emit(sys.stdout)
         return EXIT_OK
     try:
-        Path(out).write_text(text, "utf-8")
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            emit(handle)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
+
+
+def _write_text(text: str, out: str | None) -> int:
+    return _write(out, lambda handle: handle.write(text))
+
+
+def _write_csv(rows: Iterable[Sequence], out: str | None) -> int:
+    """CSV with LF line ends, as every command writes it."""
+    return _write(out, lambda handle: csv.writer(handle, lineterminator="\n").writerows(rows))
 
 
 def _round_currency(value: float) -> float:
@@ -206,19 +210,9 @@ def _round_currency(value: float) -> float:
 
 
 def _summary_dict(name: str, summary: SampleSummary) -> dict:
-    as_is = {
-        "n": summary.n,
-        "mean": summary.mean,
-        "standard_error": summary.standard_error,
-        "p10": summary.p10,
-        "p50": summary.p50,
-        "p90": summary.p90,
-        "min": summary.min,
-        "max": summary.max,
-    }
+    as_is = asdict(summary)
     if name in _CURRENCY_METRICS:
-        for key in ("mean", "standard_error", "p10", "p50", "p90", "min", "max"):
-            as_is[key] = _round_currency(as_is[key])
+        as_is.update({key: _round_currency(value) for key, value in as_is.items() if key != "n"})
     return as_is
 
 
@@ -302,7 +296,7 @@ def cmd_simulate(args) -> int:
     elapsed = time.perf_counter() - started
 
     if args.dump_iterations:
-        status = _dump_iterations(args.dump_iterations, result.columns, valuations)
+        status = _write_csv(_dump_rows(result.columns, valuations), args.dump_iterations)
         if status != EXIT_OK:
             return status
     if args.metrics_csv:
@@ -364,55 +358,23 @@ def _simulation_body(
     }
 
 
-def _metric_csv_rows(report: ValuationReport) -> list[list]:
-    rows: list[list] = [
-        ["metric", "n", "mean", "standard_error", "p10", "p50", "p90", "min", "max", "excluded"]
-    ]
+def _metric_csv_rows(report: ValuationReport) -> Iterator[list]:
+    yield ["metric", *(summary_field.name for summary_field in fields(SampleSummary)), "excluded"]
     for name in valuation_mod.REPORT_METRICS:
         summary = report.metrics.get(name)
-        if summary is None:
-            continue
-        serialized = _summary_dict(name, summary)
-        rows.append(
-            [
-                name,
-                serialized["n"],
-                serialized["mean"],
-                serialized["standard_error"],
-                serialized["p10"],
-                serialized["p50"],
-                serialized["p90"],
-                serialized["min"],
-                serialized["max"],
-                report.exclusions.get(name, 0),
-            ]
-        )
-    return rows
+        if summary is not None:
+            cells = _summary_dict(name, summary).values()
+            yield [name, *cells, report.exclusions.get(name, 0)]
 
 
-def _dump_iterations(
-    path: str, columns: SimulationColumns, valuations: Sequence[ValuationOutcome]
-) -> int:
-    try:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(_DUMP_COLUMNS)
-            for index, (row, valuation) in enumerate(zip(columns.iter_rows(), valuations)):
-                writer.writerow(
-                    [
-                        index,
-                        *row[:5],  # the engine metrics
-                        valuation.net_risk_adjusted_benefit,
-                        valuation.npv,
-                        "" if valuation.roi_ratio is None else valuation.roi_ratio,
-                        "" if valuation.irr is None else valuation.irr,
-                        "" if valuation.payback_years is None else valuation.payback_years,
-                    ]
-                )
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+def _dump_rows(
+    columns: SimulationColumns, valuations: Sequence[ValuationOutcome]
+) -> Iterator[list]:
+    """One CSV row per iteration: its engine metrics, then its valuation."""
+    yield ["iteration", *ENGINE_METRICS, *_DUMP_VALUATION]
+    for index, (row, valuation) in enumerate(zip(columns.iter_rows(), valuations)):
+        cells = (getattr(valuation, name) for name in _DUMP_VALUATION)
+        yield [index, *row[:5], *("" if cell is None else cell for cell in cells)]
 
 
 def cmd_delta(args) -> int:
@@ -440,23 +402,6 @@ def cmd_delta(args) -> int:
         raise ValueError(f"scenario ALE totals are not finite: {totals}")
     lines.append(["TOTAL", "", *(f"{total:.2f}" for total in totals)])
     return _write_csv(lines, args.out)
-
-
-def _write_csv(rows: Sequence[Sequence], out: str | None) -> int:
-    def emit(handle: TextIO) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerows(rows)
-
-    if out is None:
-        emit(sys.stdout)
-        return EXIT_OK
-    try:
-        with open(out, "w", newline="") as handle:
-            emit(handle)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
 
 
 # -- track -------------------------------------------------------------------

@@ -186,31 +186,68 @@ def _require(
     return value
 
 
-def _section_list(data: dict, key: str, collector: _Collector) -> list:
+def _read(data: dict, loc: str, collector: _Collector, spec: dict) -> dict | None:
+    """Every field of ``spec``, or None after reporting each one that fails.
+
+    ``spec`` maps a key to ``(kind, default)``.  A kind is a JSON type, read
+    by :func:`_require`, or a literal parser (``parse_quantity``,
+    ``parse_frequency``), which reports at ``loc.key``.
+    """
+    values = {}
+    for key, (kind, default) in spec.items():
+        if isinstance(kind, type):
+            values[key] = _require(data, key, loc, collector, kind, default)
+        else:
+            values[key] = kind(data.get(key), f"{loc}.{key}", collector)
+    return None if None in values.values() else values
+
+
+def _header(data: dict, loc: str, collector: _Collector, *keys: str) -> tuple | None:
+    """``(location, id, *keys)`` of a section entry, or None after reporting why not.
+
+    The location names the entry by its id: ``section[i] (id)``.
+    """
+    values = [_require(data, key, loc, collector, str) for key in ("id", *keys)]
+    if None in values:
+        return None
+    return (f"{loc} ({values[0]})", *values)
+
+
+def _section_list(data: dict, key: str, collector: _Collector, prefix: str = "") -> list:
+    """``(location, entry)`` of each object entry of the list ``data[key]``.
+
+    Each entry keeps its own index, also after a non-object entry.
+    """
+    loc = prefix + key
     value = data.get(key, [])
     if not isinstance(value, list):
-        collector.error(key, f"{key} must be a list")
+        collector.error(loc, f"{key} must be a list")
         return []
     if any(not isinstance(entry, dict) for entry in value):
-        collector.error(key, f"every {key} entry must be an object")
-        return [entry for entry in value if isinstance(entry, dict)]
-    return value
+        collector.error(loc, f"every {key} entry must be an object")
+    return [(f"{loc}[{i}]", entry) for i, entry in enumerate(value) if isinstance(entry, dict)]
 
 
 # ---------------------------------------------------------------------------
 # Section parsers
 # ---------------------------------------------------------------------------
 
+# The benefit kinds valued as a quantity times a unit value: (quantity key, unit key).
+_UNIT_VALUED_BENEFITS = {
+    "productivity": ("freed_hours_per_year", "loaded_cost_per_hour"),
+    "error_reduction": ("errors_avoided_per_year", "cost_per_error"),
+}
+
+_ARM_COUNTS = ("treatment_trials", "treatment_successes", "control_trials", "control_successes")
+
 
 def _parse_benefit(
-    data: dict, index: int, horizon: int, base_dir: Path, collector: _Collector
+    data: dict, loc: str, horizon: int, base_dir: Path, collector: _Collector
 ) -> BenefitItem | None:
-    loc = f"benefits[{index}]"
-    item_id = _require(data, "id", loc, collector, str)
-    kind = _require(data, "kind", loc, collector, str)
-    if item_id is None or kind is None:
+    header = _header(data, loc, collector, "kind")
+    if header is None:
         return None
-    loc = f"benefits[{index}] ({item_id})"
+    loc, item_id, kind = header
     if kind not in benefits_mod.BENEFIT_KINDS:
         collector.error(loc, f"unknown benefit kind {kind!r}")
         return None
@@ -220,28 +257,16 @@ def _parse_benefit(
         return None
 
     annual_value: UncertainQuantity | None = None
-    if kind == "productivity":
-        hours = parse_quantity(
-            data.get("freed_hours_per_year"), f"{loc}.freed_hours_per_year", collector
-        )
-        cost = _require(data, "loaded_cost_per_hour", loc, collector, float)
-        if hours is None or cost is None:
+    if kind in _UNIT_VALUED_BENEFITS:
+        quantity_key, unit_key = _UNIT_VALUED_BENEFITS[kind]
+        spec = {quantity_key: (parse_quantity, _REQUIRED), unit_key: (float, _REQUIRED)}
+        values = _read(data, loc, collector, spec)
+        if values is None:
             return None
-        if cost < 0:
-            collector.error(loc, "loaded_cost_per_hour must be >= 0")
+        if values[unit_key] < 0:
+            collector.error(loc, f"{unit_key} must be >= 0")
             return None
-        annual_value = _scaled_or_error(hours, cost, loc, collector)
-    elif kind == "error_reduction":
-        errors = parse_quantity(
-            data.get("errors_avoided_per_year"), f"{loc}.errors_avoided_per_year", collector
-        )
-        cost = _require(data, "cost_per_error", loc, collector, float)
-        if errors is None or cost is None:
-            return None
-        if cost < 0:
-            collector.error(loc, "cost_per_error must be >= 0")
-            return None
-        annual_value = _scaled_or_error(errors, cost, loc, collector)
+        annual_value = scaled(values[quantity_key], values[unit_key])
     else:
         # revenue_uplift and risk_reduction_external: a direct distribution,
         # or (uplift only) an A/B experiment converted through the
@@ -271,30 +296,16 @@ def _parse_benefit(
     if annual_value is None:
         return None
 
-    start_year = _require(data, "start_year", loc, collector, int, 0)
-    end_year = _require(data, "end_year", loc, collector, int, horizon - 1)
-    attribution = _require(data, "attribution_factor", loc, collector, float, 1.0)
-    erosion = _require(data, "erosion_rate", loc, collector, float, 0.0)
-    if None in (start_year, end_year, attribution, erosion):
+    spec = {
+        "start_year": (int, 0),
+        "end_year": (int, horizon - 1),
+        "attribution_factor": (float, 1.0),
+        "erosion_rate": (float, 0.0),
+    }
+    values = _read(data, loc, collector, spec)
+    if values is None:
         return None
-    return BenefitItem(
-        id=item_id,
-        kind=kind,
-        annual_value=annual_value,
-        start_year=start_year,
-        end_year=end_year,
-        attribution_factor=attribution,
-        phase=phase,
-        erosion_rate=erosion,
-    )
-
-
-def _scaled_or_error(quantity, factor, loc, collector):
-    try:
-        return scaled(quantity, factor)
-    except ValueError as exc:
-        collector.error(loc, str(exc))
-        return None
+    return BenefitItem(id=item_id, kind=kind, annual_value=annual_value, phase=phase, **values)
 
 
 def _parse_ab_test(
@@ -325,117 +336,76 @@ def _parse_ab_test(
             collector.error(location, f"bad arm-count CSV {csv_path}: {exc}")
             return None
     else:
-        for key in ("treatment_trials", "treatment_successes", "control_trials", "control_successes"):
-            value = _require(data, key, location, collector, int)
-            if value is None:
+        for key in _ARM_COUNTS:
+            counts[key] = _require(data, key, location, collector, int)
+            if counts[key] is None:
                 return None
-            counts[key] = value
-    value_per_success = _require(data, "value_per_success", location, collector, float)
-    annual_volume = _require(data, "annual_volume", location, collector, float)
-    if value_per_success is None or annual_volume is None:
+    spec = {"value_per_success": (float, _REQUIRED), "annual_volume": (float, _REQUIRED)}
+    values = _read(data, location, collector, spec)
+    if values is None:
         return None
-    missing = [
-        k
-        for k in ("treatment_trials", "treatment_successes", "control_trials", "control_successes")
-        if k not in counts
-    ]
+    values.update(counts)
+    missing = [key for key in _ARM_COUNTS if key not in values]
     if missing:
         collector.error(location, f"arm counts missing: {', '.join(missing)}")
         return None
-    return AbTestResult(
-        treatment_trials=counts["treatment_trials"],
-        treatment_successes=counts["treatment_successes"],
-        control_trials=counts["control_trials"],
-        control_successes=counts["control_successes"],
-        value_per_success=value_per_success,
-        annual_volume=annual_volume,
-    )
+    return AbTestResult(**values)
 
 
-def _parse_capex(data: dict, index: int, collector: _Collector) -> CapexItem | None:
-    loc = f"costs.capex[{index}]"
-    item_id = _require(data, "id", loc, collector, str)
-    if item_id is None:
+def _parse_capex(data: dict, loc: str, collector: _Collector) -> CapexItem | None:
+    header = _header(data, loc, collector)
+    if header is None:
         return None
-    loc = f"costs.capex[{index}] ({item_id})"
-    amount = parse_quantity(data.get("amount"), f"{loc}.amount", collector)
-    life = _require(data, "useful_life_years", loc, collector, int)
-    incurred = _require(data, "incurred_year", loc, collector, int, 0)
-    category = _require(data, "category", loc, collector, str, "development")
-    if None in (amount, life, incurred, category):
-        return None
-    return CapexItem(
-        id=item_id,
-        amount=amount,
-        useful_life_years=life,
-        incurred_year=incurred,
-        category=category,
-    )
+    loc, item_id = header
+    spec = {
+        "amount": (parse_quantity, _REQUIRED),
+        "useful_life_years": (int, _REQUIRED),
+        "incurred_year": (int, 0),
+        "category": (str, "development"),
+    }
+    values = _read(data, loc, collector, spec)
+    return None if values is None else CapexItem(id=item_id, **values)
 
 
-def _parse_opex(
-    data: dict, index: int, horizon: int, collector: _Collector
-) -> OpexItem | None:
-    loc = f"costs.opex[{index}]"
-    item_id = _require(data, "id", loc, collector, str)
-    if item_id is None:
+def _parse_opex(data: dict, loc: str, horizon: int, collector: _Collector) -> OpexItem | None:
+    header = _header(data, loc, collector)
+    if header is None:
         return None
-    loc = f"costs.opex[{index}] ({item_id})"
-    amount = parse_quantity(data.get("annual_amount"), f"{loc}.annual_amount", collector)
-    start_year = _require(data, "start_year", loc, collector, int, 0)
-    end_year = _require(data, "end_year", loc, collector, int, horizon - 1)
-    category = _require(data, "category", loc, collector, str, "other")
-    specialist = _require(data, "specialist", loc, collector, bool, False)
-    if None in (amount, start_year, end_year, category, specialist):
-        return None
-    return OpexItem(
-        id=item_id,
-        annual_amount=amount,
-        start_year=start_year,
-        end_year=end_year,
-        category=category,
-        specialist=specialist,
-    )
+    loc, item_id = header
+    spec = {
+        "annual_amount": (parse_quantity, _REQUIRED),
+        "start_year": (int, 0),
+        "end_year": (int, horizon - 1),
+        "category": (str, "other"),
+        "specialist": (bool, False),
+    }
+    values = _read(data, loc, collector, spec)
+    return None if values is None else OpexItem(id=item_id, **values)
 
 
 def _parse_rules(data: Any, collector: _Collector) -> CostRules:
     """The rules as given; the defaults where an error has been reported."""
-    loc = "costs.rules"
     if data is None:
         data = {}
     if not isinstance(data, dict):
-        collector.error(loc, "rules must be an object")
+        collector.error("costs.rules", "rules must be an object")
         return CostRules()
-    values = {
-        rule.name: _require(data, rule.name, loc, collector, type(rule.default), rule.default)
-        for rule in fields(CostRules)
-    }
-    if None in values.values():
-        return CostRules()
-    return CostRules(**values)
+    spec = {rule.name: (type(rule.default), rule.default) for rule in fields(CostRules)}
+    values = _read(data, "costs.rules", collector, spec)
+    return CostRules() if values is None else CostRules(**values)
 
 
-def _parse_scenario(
-    data: dict, index: int, collector: _Collector
-) -> RiskScenario | None:
-    loc = f"risks[{index}]"
-    scenario_id = _require(data, "id", loc, collector, str)
-    applies_to = _require(data, "applies_to", loc, collector, str)
-    if scenario_id is None or applies_to is None:
+def _parse_scenario(data: dict, loc: str, collector: _Collector) -> RiskScenario | None:
+    header = _header(data, loc, collector, "applies_to")
+    if header is None:
         return None
-    loc = f"risks[{index}] ({scenario_id})"
-    sle = parse_quantity(data.get("sle"), f"{loc}.sle", collector)
-    description = _require(data, "description", loc, collector, str, "")
-    tags = _require(data, "tags", loc, collector, list, [])
-    if None in (sle, description, tags):
+    loc, scenario_id, applies_to = header
+    spec = {"sle": (parse_quantity, _REQUIRED), "description": (str, ""), "tags": (list, [])}
+    values = _read(data, loc, collector, spec)
+    if values is None:
         return None
-    scenario = RiskScenario(
-        id=scenario_id,
-        sle=sle,
-        applies_to=applies_to,
-        description=description,
-        tags=tuple(str(tag) for tag in tags),
-    )
+    values["tags"] = tuple(str(tag) for tag in values["tags"])
+    scenario = RiskScenario(id=scenario_id, applies_to=applies_to, **values)
     # The frequency of each state the scenario applies to; a missing one is
     # reported when the portfolio is validated.
     frequencies = {}
@@ -458,12 +428,18 @@ def _parse_penalties(
     if not isinstance(data, dict):
         collector.error(loc, "penalties must be an object")
         return []
-    turnover = _require(data, "global_turnover", loc, collector, float)
-    entries = _require(data, "scenarios", loc, collector, list, [])
-    if turnover is None or entries is None:
+    section = _read(
+        data, loc, collector, {"global_turnover": (float, _REQUIRED), "scenarios": (list, [])}
+    )
+    if section is None:
         return []
+    spec = {
+        "severity_fraction": (parse_quantity, _REQUIRED),
+        "violation_rate": (parse_frequency, _REQUIRED),
+        "description": (str, ""),
+    }
     scenarios = []
-    for index, entry in enumerate(entries):
+    for index, entry in enumerate(section["scenarios"]):
         entry_loc = f"penalties.scenarios[{index}]"
         if not isinstance(entry, dict):
             collector.error(entry_loc, "penalty scenario must be an object")
@@ -477,24 +453,13 @@ def _parse_penalties(
                 entry_loc, f"unknown tier {tier_name!r}; expected one of {sorted(PENALTY_TIERS)}"
             )
             continue
-        severity = parse_quantity(
-            entry.get("severity_fraction"), f"{entry_loc}.severity_fraction", collector
-        )
-        rate = parse_frequency(
-            entry.get("violation_rate"), f"{entry_loc}.violation_rate", collector
-        )
-        description = _require(entry, "description", entry_loc, collector, str, "")
-        if severity is None or rate is None or description is None:
+        values = _read(entry, entry_loc, collector, spec)
+        if values is None:
             continue
         try:
             scenarios.append(
                 risk_mod.penalty_scenario(
-                    scenario_id,
-                    PENALTY_TIERS[tier_name],
-                    turnover,
-                    severity,
-                    rate,
-                    description=description,
+                    scenario_id, PENALTY_TIERS[tier_name], section["global_turnover"], **values
                 )
             )
         except ValueError as exc:
@@ -527,34 +492,21 @@ def parse_config(
 
     base_dir = source_path.parent if source_path is not None else Path.cwd()
 
-    benefit_items = []
-    for index, entry in enumerate(_section_list(data, "benefits", collector)):
-        item = _parse_benefit(entry, index, horizon, base_dir, collector)
-        if item is not None:
-            benefit_items.append(item)
+    def parsed(section: dict, key: str, parse, *args, prefix: str = "") -> tuple:
+        entries = _section_list(section, key, collector, prefix)
+        items = (parse(entry, loc, *args, collector) for loc, entry in entries)
+        return tuple(item for item in items if item is not None)
 
+    benefit_items = parsed(data, "benefits", _parse_benefit, horizon, base_dir)
     costs_section = data.get("costs", {})
     if not isinstance(costs_section, dict):
         collector.error("costs", "costs must be an object")
         costs_section = {}
-    capex_items = []
-    for index, entry in enumerate(_section_list(costs_section, "capex", collector)):
-        item = _parse_capex(entry, index, collector)
-        if item is not None:
-            capex_items.append(item)
-    opex_items = []
-    for index, entry in enumerate(_section_list(costs_section, "opex", collector)):
-        item = _parse_opex(entry, index, horizon, collector)
-        if item is not None:
-            opex_items.append(item)
+    capex_items = parsed(costs_section, "capex", _parse_capex, prefix="costs.")
+    opex_items = parsed(costs_section, "opex", _parse_opex, horizon, prefix="costs.")
     rules = _parse_rules(costs_section.get("rules"), collector)
-
-    scenarios = []
-    for index, entry in enumerate(_section_list(data, "risks", collector)):
-        scenario = _parse_scenario(entry, index, collector)
-        if scenario is not None:
-            scenarios.append(scenario)
-    scenarios.extend(_parse_penalties(data.get("penalties"), collector))
+    scenarios = parsed(data, "risks", _parse_scenario)
+    scenarios += tuple(_parse_penalties(data.get("penalties"), collector))
 
     sim_section = data.get("simulation", {})
     if not isinstance(sim_section, dict):
@@ -575,11 +527,11 @@ def parse_config(
         currency=data.get("currency", ""),
         horizon_years=horizon,
         discount_rate=discount,
-        benefits=tuple(benefit_items),
-        capex=tuple(capex_items),
-        opex=tuple(opex_items),
+        benefits=benefit_items,
+        capex=capex_items,
+        opex=opex_items,
         cost_rules=rules,
-        register=RiskRegister(scenarios=tuple(scenarios)),
+        register=RiskRegister(scenarios=scenarios),
     )
     errors, warnings = validate_portfolio(portfolio)
     for message in errors:
@@ -601,22 +553,29 @@ def parse_config(
     )
 
 
+def _read_json(path: Path, what: str, collector: _Collector) -> tuple[bytes, Any] | None:
+    """The file's bytes and its JSON value, or None after reporting why not."""
+    try:
+        raw = path.read_bytes()
+        return raw, json.loads(raw.decode("utf-8"))
+    except OSError as exc:
+        collector.error(str(path), f"cannot read {what}: {exc}")
+    except json.JSONDecodeError as exc:
+        collector.error(f"{path}:{exc.lineno}:{exc.colno}", f"invalid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        collector.error(str(path), f"invalid JSON: {exc}")
+    return None
+
+
 def load_config(path: str | Path) -> tuple[PortfolioConfig | None, list[Diagnostic]]:
     """Read, parse, and validate a portfolio config file."""
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        return None, [Diagnostic(SEVERITY_ERROR, str(path), f"cannot read config: {exc}")]
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        location = str(path)
-        if isinstance(exc, json.JSONDecodeError):
-            location = f"{path}:{exc.lineno}:{exc.colno}"
-        return None, [Diagnostic(SEVERITY_ERROR, location, f"invalid JSON: {exc}")]
-    content_hash = hashlib.sha256(raw).hexdigest()
-    return parse_config(data, source_path=path, content_hash=content_hash)
+    collector = _Collector()
+    read = _read_json(path, "config", collector)
+    if read is None:
+        return None, collector.diagnostics
+    raw, data = read
+    return parse_config(data, source_path=path, content_hash=hashlib.sha256(raw).hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -630,18 +589,10 @@ def load_actuals(
     """Read quarterly actuals and check every id against the portfolio."""
     path = Path(path)
     collector = _Collector()
-    try:
-        data = json.loads(path.read_text("utf-8"))
-    except OSError as exc:
-        collector.error(str(path), f"cannot read actuals: {exc}")
+    read = _read_json(path, "actuals", collector)
+    if read is None:
         return [], collector.diagnostics
-    except json.JSONDecodeError as exc:
-        collector.error(f"{path}:{exc.lineno}:{exc.colno}", f"invalid JSON: {exc}")
-        return [], collector.diagnostics
-    except UnicodeDecodeError as exc:
-        collector.error(str(path), f"invalid JSON: {exc}")
-        return [], collector.diagnostics
-
+    _, data = read
     records_raw = data.get("records") if isinstance(data, dict) else None
     if not isinstance(records_raw, list) or not records_raw:
         collector.error("$", "actuals must contain a nonempty 'records' list")
@@ -660,11 +611,16 @@ def load_actuals(
         if not isinstance(entry, dict):
             collector.error(loc, "record must be an object")
             continue
-        period = entry.get("period", {})
-        year = period.get("year") if isinstance(period, dict) else None
-        quarter = period.get("quarter") if isinstance(period, dict) else None
-        if not isinstance(year, int) or not isinstance(quarter, int) or not 1 <= quarter <= 4:
-            collector.error(loc, "period must carry an integer year and quarter in 1..4")
+        period = _require(entry, "period", loc, collector, dict)
+        if period is None:
+            continue
+        spec = {"year": (int, _REQUIRED), "quarter": (int, _REQUIRED)}
+        period = _read(period, f"{loc}.period", collector, spec)
+        if period is None:
+            continue
+        year, quarter = period["year"], period["quarter"]
+        if not 1 <= quarter <= 4:
+            collector.error(f"{loc}.period", f"quarter must lie in 1..4, got {quarter}")
             continue
         sections = {key: _require(entry, key, loc, collector, dict, {}) for key in known}
         if None in sections.values():

@@ -215,53 +215,6 @@ def _premium_multiplier(item: OpexItem, rules: CostRules) -> float:
     return 1.0
 
 
-def _cost_components(
-    capex_items: Sequence[CapexItem],
-    opex_items: Sequence[OpexItem],
-    rules: CostRules,
-    horizon: int,
-    capex_amounts: Mapping[str, float] | None,
-    opex_amounts: Mapping[str, float] | None,
-) -> tuple[list[float], list[float], list[float], list[float], list[float]]:
-    """Shared rows for both capex treatments: one pass over the items."""
-    capex_row = [0.0] * horizon
-    cash_capex_row = [0.0] * horizon
-    opex_row = [0.0] * horizon
-    dev_capex_total = 0.0
-    for item in capex_items:
-        value = (
-            capex_amounts[item.id] if capex_amounts is not None else mean(item.amount)
-        )
-        amortized = amortize_capex(item, horizon, amount=value)
-        cash = amortize_capex(item, horizon, amount=value, cash_basis=True)
-        for year in range(horizon):
-            capex_row[year] += amortized[year]
-            cash_capex_row[year] += cash[year]
-        if item.category == "development":
-            dev_capex_total += value
-    for item in opex_items:
-        value = (
-            opex_amounts[item.id]
-            if opex_amounts is not None
-            else mean(item.annual_amount)
-        )
-        # A new object, not ``*=``: a drawn column belongs to the caller.
-        value = value * _premium_multiplier(item, rules)
-        first = max(item.start_year, 0)
-        last = min(item.end_year, horizon - 1)
-        for year in range(first, last + 1):
-            opex_row[year] += value
-    maintenance_row = maintenance_opex(dev_capex_total, rules.maintenance_rate, horizon)
-    reserve_row = [
-        reserve_charge(
-            reserve_requirement(opex_row[year] + maintenance_row[year], rules.reserve_rate),
-            rules,
-        )
-        for year in range(horizon)
-    ]
-    return capex_row, cash_capex_row, opex_row, maintenance_row, reserve_row
-
-
 def schedule_from_rows(
     capex_row: list[float],
     opex_row: list[float],
@@ -287,25 +240,13 @@ def tco(
     rules: CostRules,
     horizon: int,
     *,
-    capex_amounts: Mapping[str, float] | None = None,
-    opex_amounts: Mapping[str, float] | None = None,
-    cash_basis: bool = False,
+    amounts: Mapping[str, float] | None = None,
 ) -> CostSchedule:
-    """Assemble the full per-year cost schedule.
+    """The amortized per-year cost schedule, ``tco_pair(...)[0]``.
 
-    ``capex_amounts`` / ``opex_amounts`` carry one sampled value per item id
-    for a simulation iteration; when omitted the analytic means are used.
     The total is undiscounted — discounting happens in valuation.
     """
-    amortized, cash = tco_pair(
-        capex_items,
-        opex_items,
-        rules,
-        horizon,
-        capex_amounts=capex_amounts,
-        opex_amounts=opex_amounts,
-    )
-    return cash if cash_basis else amortized
+    return tco_pair(capex_items, opex_items, rules, horizon, amounts=amounts)[0]
 
 
 def schedule_csv_rows(schedule: CostSchedule) -> list[list]:
@@ -331,21 +272,46 @@ def tco_pair(
     rules: CostRules,
     horizon: int,
     *,
-    capex_amounts: Mapping[str, float] | None = None,
-    opex_amounts: Mapping[str, float] | None = None,
+    amounts: Mapping[str, float] | None = None,
 ) -> tuple[CostSchedule, CostSchedule]:
     """(amortized, cash-basis) schedules sharing one pass over the items.
 
-    ``capex_amounts`` / ``opex_amounts`` map item id to its amount: a float,
-    or an equal-length numpy column of one value per iteration, to which
-    every rule applies with the same operations in the same order.  One
-    mapping may serve both.  When omitted the analytic means are used.
+    ``amounts`` maps each capex and opex id to its amount: a float, or an
+    equal-length numpy column of one value per iteration, to which every
+    rule applies with the same operations in the same order.  When omitted
+    the analytic means are used.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    capex_row, cash_capex_row, opex_row, maintenance_row, reserve_row = _cost_components(
-        capex_items, opex_items, rules, horizon, capex_amounts, opex_amounts
-    )
+    capex_row = [0.0] * horizon
+    cash_capex_row = [0.0] * horizon
+    opex_row = [0.0] * horizon
+    dev_capex_total = 0.0
+    for item in capex_items:
+        value = amounts[item.id] if amounts is not None else mean(item.amount)
+        amortized = amortize_capex(item, horizon, amount=value)
+        cash = amortize_capex(item, horizon, amount=value, cash_basis=True)
+        for year in range(horizon):
+            capex_row[year] += amortized[year]
+            cash_capex_row[year] += cash[year]
+        if item.category == "development":
+            dev_capex_total += value
+    for item in opex_items:
+        value = amounts[item.id] if amounts is not None else mean(item.annual_amount)
+        # A new object, not ``*=``: a drawn column belongs to the caller.
+        value = value * _premium_multiplier(item, rules)
+        first = max(item.start_year, 0)
+        last = min(item.end_year, horizon - 1)
+        for year in range(first, last + 1):
+            opex_row[year] += value
+    maintenance_row = maintenance_opex(dev_capex_total, rules.maintenance_rate, horizon)
+    reserve_row = [
+        reserve_charge(
+            reserve_requirement(opex_row[year] + maintenance_row[year], rules.reserve_rate),
+            rules,
+        )
+        for year in range(horizon)
+    ]
     return (
         schedule_from_rows(capex_row, opex_row, maintenance_row, reserve_row),
         schedule_from_rows(cash_capex_row, opex_row, maintenance_row, reserve_row),

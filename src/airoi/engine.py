@@ -56,6 +56,8 @@ IterationRow = namedtuple(
 )
 
 _EARLY_STOP_BLOCK = 1000
+# Most iterations one run may ask for.
+MAX_ITERATIONS = 10**8
 # Longest planning horizon accepted, in years.
 MAX_HORIZON_YEARS = 200
 # Iterations per kernel pass: bounds the per-stream scratch arrays.
@@ -296,6 +298,8 @@ def validate_simulation(cfg: SimulationConfig) -> list[str]:
     errors: list[str] = []
     if not _is_int(cfg.iterations) or cfg.iterations < 1:
         errors.append(f"iterations must be an integer >= 1, got {cfg.iterations!r}")
+    elif cfg.iterations > MAX_ITERATIONS:
+        errors.append(f"iterations must be at most {MAX_ITERATIONS}, got {cfg.iterations}")
     if not _is_int(cfg.master_seed) or not 0 <= cfg.master_seed < SEED_LIMIT:
         errors.append(f"master_seed must be an integer in [0, 2^64), got {cfg.master_seed!r}")
     if cfg.worker_count is not None and (not _is_int(cfg.worker_count) or cfg.worker_count < 1):
@@ -401,12 +405,7 @@ def _assemble_columns(
         benefits_mod.benefit_schedule(portfolio.benefits, horizon, benefit_values), n
     )
     schedule, cash_schedule = costs_mod.tco_pair(
-        portfolio.capex,
-        portfolio.opex,
-        portfolio.cost_rules,
-        horizon,
-        capex_amounts=cost_values,
-        opex_amounts=cost_values,
+        portfolio.capex, portfolio.opex, portfolio.cost_rules, horizon, amounts=cost_values
     )
     tco_per_year = _matrix(schedule.per_year, n)
     cash_per_year = _matrix(cash_schedule.per_year, n)

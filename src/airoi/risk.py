@@ -11,7 +11,7 @@ negative is carried as an ongoing cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -20,6 +20,7 @@ from .distributions import (
     FrequencyModel,
     RngStream,
     UncertainQuantity,
+    _resolve_generator,
     frequency_mean,
     make_batch_sampler,
     mean,
@@ -152,13 +153,12 @@ def ale_simulate(
     count = sample_event_count(freq, rng)
     if count == 0:
         return 0.0
-    gen = rng.generator if isinstance(rng, RngStream) else rng
-    return make_batch_sampler(scenario.sle)(gen, count)
+    return make_batch_sampler(scenario.sle)(_resolve_generator(rng), count)
 
 
 def classify_scenario(scenario: RiskScenario) -> str:
     """Sign of the analytic per-scenario delta: reduction, introduction, or neutral."""
-    delta = ale_analytic(scenario, "current") - ale_analytic(scenario, "ai")
+    delta = scenario_delta_analytic(scenario)
     if delta > 0:
         return CLASSIFICATION_REDUCTION
     if delta < 0:
@@ -170,43 +170,30 @@ def scenario_delta_analytic(scenario: RiskScenario) -> float:
     return ale_analytic(scenario, "current") - ale_analytic(scenario, "ai")
 
 
-def risk_delta(
-    register: RiskRegister,
-    sampler: Callable[[RiskScenario, str], RngStream] | None = None,
-) -> float:
-    """Aggregate delta over all scenarios, in currency per year.
+def risk_delta(register: RiskRegister) -> float:
+    """Analytic aggregate delta over all scenarios, in currency per year.
 
-    Analytic when ``sampler`` is None; otherwise one iteration's simulated
-    delta, with ``sampler(scenario, state)`` supplying the substream for
-    each paired draw.
+    A simulated iteration's delta is the ``risk_delta`` column of
+    ``engine.run_simulation``; :func:`ale_simulate` draws one state's loss.
     """
     total = 0.0
     for scenario in register.scenarios:
-        if sampler is None:
-            total += scenario_delta_analytic(scenario)
-        else:
-            current = (
-                ale_simulate(scenario, "current", sampler(scenario, "current"))
-                if scenario.applies("current")
-                else 0.0
-            )
-            ai = (
-                ale_simulate(scenario, "ai", sampler(scenario, "ai"))
-                if scenario.applies("ai")
-                else 0.0
-            )
-            total += current - ai
+        total += scenario_delta_analytic(scenario)
     return total
 
 
 def delta_table(register: RiskRegister) -> list[tuple[str, str, float, float, float]]:
     """Per-scenario analytic rows (id, classification, ale_current, ale_ai, delta)."""
-    rows = []
-    for scenario in register.scenarios:
-        current = ale_analytic(scenario, "current")
-        ai = ale_analytic(scenario, "ai")
-        rows.append((scenario.id, classify_scenario(scenario), current, ai, current - ai))
-    return rows
+    return [
+        (
+            scenario.id,
+            classify_scenario(scenario),
+            ale_analytic(scenario, "current"),
+            ale_analytic(scenario, "ai"),
+            scenario_delta_analytic(scenario),
+        )
+        for scenario in register.scenarios
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from airoi.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from airoi.config import load_config
-from airoi.engine import run_simulation
+from airoi.engine import MAX_ITERATIONS, run_simulation
 from airoi.valuation import DiscountSpec, evaluate_outcome
 from conftest import minimal_config, write_config
 
@@ -175,6 +175,7 @@ def test_simulate_dump_iterations(tmp_path, capsys):
     ]
     assert len(rows) == 51
     assert rows[1][0] == "0"
+    assert b"\r" not in dump.read_bytes()  # LF line ends, like every other CSV
     # Every cell, in column order, against the library path.
     config, _ = load_config(path)
     sim = dataclasses.replace(config.simulation, iterations=50, master_seed=1)
@@ -231,6 +232,27 @@ def test_seed_outside_64_bits_rejected(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["body"]["simulation"]["master_seed"] == 2**64 - 1
+
+
+def test_iterations_above_the_cap_rejected(tmp_path, capsys):
+    # Checked by value only: nothing here runs more than 5 iterations.
+    data = minimal_config()
+    data["simulation"]["iterations"] = MAX_ITERATIONS
+    code, _, err = run_cli(capsys, "validate", str(write_config(tmp_path, data)))
+    assert (code, err) == (EXIT_OK, "")
+    data["simulation"]["iterations"] = MAX_ITERATIONS + 1
+    path = write_config(tmp_path, data)
+    message = f"error: simulation: iterations must be at most {MAX_ITERATIONS}, got {MAX_ITERATIONS + 1}\n"
+    for argv in (("validate",), ("track", "actuals.json")):
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (EXIT_VALIDATION, "", message)
+    path = write_config(tmp_path, minimal_config())
+    for command in ("simulate", "plotdata"):
+        extra = ["--metric", "npv"] if command == "plotdata" else []
+        code, out, err = run_cli(
+            capsys, command, str(path), *extra, "--iterations", str(MAX_ITERATIONS + 1)
+        )
+        assert (code, out, err) == (EXIT_VALIDATION, "", message)
 
 
 def test_evaluate_costs_csv(tmp_path, capsys):
@@ -430,6 +452,29 @@ def test_track_actuals_not_utf8_is_a_diagnostic(tmp_path, capsys):
     code, out, err = run_track(tmp_path, capsys, b'{"records": "\xff"}')
     assert (code, out) == (EXIT_VALIDATION, "")
     assert err.startswith("error: ") and "invalid JSON" in err and err.count("\n") == 1
+
+
+def test_track_boolean_period_is_a_diagnostic(tmp_path, capsys):
+    for period, errors in (
+        ({"year": True, "quarter": 1}, ["year"]),
+        ({"year": 1, "quarter": True}, ["quarter"]),
+        ({"year": True, "quarter": True}, ["year", "quarter"]),
+    ):
+        record = {"period": period}
+        code, out, err = run_track(tmp_path, capsys, json.dumps({"records": [record]}).encode())
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.splitlines() == [
+            f"error: records[0].period: field {key!r} must be an integer, got True"
+            for key in errors
+        ]
+
+
+def test_track_quarter_outside_the_year_is_a_diagnostic(tmp_path, capsys):
+    for quarter in (0, 5):
+        record = {"period": {"year": 1, "quarter": quarter}}
+        code, out, err = run_track(tmp_path, capsys, json.dumps({"records": [record]}).encode())
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"error: records[0].period: quarter must lie in 1..4, got {quarter}\n"
 
 
 def test_track_empty_actuals_rejected(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -187,6 +188,61 @@ def test_cost_rate_of_wrong_type_rejected(tmp_path):
         assert error_messages(diagnostics) == [
             f"error: costs.rules: field 'maintenance_rate' must be a finite number, got {value!r}"
         ]
+
+
+def test_entry_keeps_its_index_after_a_non_object_entry(tmp_path, reference_config_path):
+    # A non-object entry is reported and skipped; the entries after it are
+    # still reported at their own index.
+    reference = json.loads(reference_config_path.read_text())
+    for path, field, message in (
+        (("benefits",), "attribution_factor", "must be a finite number, got []"),
+        (("costs", "capex"), "useful_life_years", "must be an integer, got []"),
+        (("costs", "opex"), "start_year", "must be an integer, got []"),
+        (("risks",), "description", "has the wrong type: []"),
+    ):
+        data = copy.deepcopy(reference)
+        section = data
+        for key in path:
+            section = section[key]
+        section.insert(0, "x")
+        section[2][field] = []
+        where = ".".join(path)
+        config, diagnostics = load_data(tmp_path, data)
+        assert config is None
+        assert [str(d) for d in diagnostics] == [
+            f"error: {where}: every {path[-1]} entry must be an object",
+            f"error: {where}[2] ({section[2]['id']}): field {field!r} {message}",
+        ]
+
+
+def test_cost_section_errors_name_their_path(tmp_path):
+    for key in ("capex", "opex"):
+        data = minimal_config()
+        data["costs"][key] = {}
+        config, diagnostics = load_data(tmp_path, data)
+        assert config is None
+        assert error_messages(diagnostics) == [f"error: costs.{key}: {key} must be a list"]
+
+
+def test_unit_valued_benefit_fields_reported_where_they_are(tmp_path):
+    # Both unit-valued kinds: a bad quantity is reported at its own key,
+    # a negative unit value once at the item.
+    for kind, quantity_key, unit_key in (
+        ("productivity", "freed_hours_per_year", "loaded_cost_per_hour"),
+        ("error_reduction", "errors_avoided_per_year", "cost_per_error"),
+    ):
+        for fields, expected in (
+            ({quantity_key: "x", unit_key: 5.0}, (
+                f"error: benefits[0] (b).{quantity_key}: "
+                "expected a number or distribution object, got 'x'"
+            )),
+            ({quantity_key: 100, unit_key: -1}, f"error: benefits[0] (b): {unit_key} must be >= 0"),
+        ):
+            data = minimal_config()
+            data["benefits"] = [{"id": "b", "kind": kind, **fields}]
+            config, diagnostics = load_data(tmp_path, data)
+            assert config is None
+            assert [str(d) for d in diagnostics] == [expected]
 
 
 def test_triangular_ordering_rejected(tmp_path):

@@ -120,8 +120,7 @@ def test_tco_point_inputs_sampled_equals_analytic():
     analytic = tco(capex, opex, rules, 4)
     sampled = tco(
         capex, opex, rules, 4,
-        capex_amounts={"c": 200_000.0},
-        opex_amounts={"o": 40_000.0},
+        amounts={"c": 200_000.0, "o": 40_000.0},
     )
     assert analytic == sampled
 
@@ -168,12 +167,10 @@ def test_tco_pair_matches_individual_calls_exactly():
     capex = [CapexItem("c", Triangular(90_000.0, 100_000.0, 140_000.0), 3)]
     opex = [OpexItem("o", Point(20_000.0), 0, 3)]
     rules = CostRules(maintenance_rate=0.2, reserve_rate=0.1)
-    amounts = {"c": 111_111.11}
-    amortized, cash = tco_pair(capex, opex, rules, 4, capex_amounts=amounts, opex_amounts={"o": 20_000.0})
-    assert amortized == tco(capex, opex, rules, 4, capex_amounts=amounts, opex_amounts={"o": 20_000.0})
-    assert cash == tco(
-        capex, opex, rules, 4, capex_amounts=amounts, opex_amounts={"o": 20_000.0}, cash_basis=True
-    )
+    amounts = {"c": 111_111.11, "o": 20_000.0}
+    amortized, cash = tco_pair(capex, opex, rules, 4, amounts=amounts)
+    assert amortized == tco(capex, opex, rules, 4, amounts=amounts)
+    assert cash == tco_pair(capex, opex, rules, 4, amounts=amounts)[1]
 
 
 def test_analytic_tco_matches_mean_of_simulated():
@@ -189,8 +186,10 @@ def test_analytic_tco_matches_mean_of_simulated():
         totals.append(
             tco(
                 capex, opex, rules, 3,
-                capex_amounts={"c": sample(capex[0].amount, capex_gen)},
-                opex_amounts={"o": sample(opex[0].annual_amount, opex_gen)},
+                amounts={
+                    "c": sample(capex[0].amount, capex_gen),
+                    "o": sample(opex[0].annual_amount, opex_gen),
+                },
             ).total
         )
     observed = math.fsum(totals) / n

@@ -21,6 +21,7 @@ from airoi.distributions import (
     scaled,
 )
 from airoi.engine import (
+    MAX_ITERATIONS,
     Portfolio,
     SimulationConfig,
     _assemble_columns,
@@ -248,8 +249,7 @@ def test_simulated_iteration_matches_module_pipeline():
         portfolio.opex,
         portfolio.cost_rules,
         portfolio.horizon_years,
-        capex_amounts={"build": outcome.cost_values["build"]},
-        opex_amounts={k: outcome.cost_values[k] for k in ("run", "team")},
+        amounts=outcome.cost_values,
     )
     assert outcome.tco_per_year == amortized.per_year
     assert math.fsum(row) == outcome.gross_benefits
@@ -374,6 +374,15 @@ def test_validate_simulation_checks_every_setting():
         for value in values:
             errors = validate_simulation(dataclasses.replace(valid, **{field: value}))
             assert len(errors) == 1 and errors[0].startswith(field), (field, value)
+
+
+def test_validate_simulation_caps_iterations():
+    # By value only: neither count is run.
+    assert MAX_ITERATIONS == 10**8
+    assert validate_simulation(SimulationConfig(iterations=MAX_ITERATIONS)) == []
+    assert validate_simulation(SimulationConfig(iterations=MAX_ITERATIONS + 1)) == [
+        f"iterations must be at most {MAX_ITERATIONS}, got {MAX_ITERATIONS + 1}"
+    ]
 
 
 def test_validate_portfolio_reports_duplicates_and_double_counting():
@@ -562,8 +571,7 @@ def test_random_portfolios_satisfy_core_invariants():
                 portfolio.opex,
                 portfolio.cost_rules,
                 horizon,
-                capex_amounts=outcome.cost_values,
-                opex_amounts=outcome.cost_values,
+                amounts=outcome.cost_values,
             )
             assert math.fsum(row) == outcome.gross_benefits
             assert amortized.per_year == outcome.tco_per_year
