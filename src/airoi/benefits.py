@@ -156,12 +156,6 @@ def apply_projection_margin(point_benefit: float, margin: float) -> UncertainQua
     return Triangular(point_benefit - half, point_benefit, point_benefit + half)
 
 
-def default_margin(phase: str) -> float:
-    if phase not in DEFAULT_PROJECTION_MARGINS:
-        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
-    return DEFAULT_PROJECTION_MARGINS[phase]
-
-
 # ---------------------------------------------------------------------------
 # Schedule assembly
 # ---------------------------------------------------------------------------

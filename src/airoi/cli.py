@@ -21,21 +21,19 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import valuation as valuation_mod
-from .benefits import item_value_at
+from .benefits import benefit_schedule
 from .config import (
     SEVERITY_ERROR,
-    ActualsRecord,
     Diagnostic,
     PortfolioConfig,
     has_errors,
     load_actuals,
     load_config,
 )
-from .costs import schedule_csv_rows, tco as costs_tco
+from .costs import amortize_capex, schedule_csv_rows, tco as costs_tco
 from .distributions import percentile
 from .engine import (
     ENGINE_METRICS,
-    IterationOutcome,
     Portfolio,
     SampleSummary,
     SimulationColumns,
@@ -381,23 +379,11 @@ def cmd_delta(args) -> int:
     config = _load_or_fail(args.config)
     if config is None:
         return EXIT_VALIDATION
-    rows = delta_table(config.portfolio.register)
     lines = [["scenario_id", "classification", "ale_current", "ale_ai", "delta"]]
-    total_current = total_ai = total_delta = 0.0
-    for scenario_id, classification, ale_current, ale_ai, delta in rows:
-        total_current += ale_current
-        total_ai += ale_ai
-        total_delta += delta
-        lines.append(
-            [
-                scenario_id,
-                classification,
-                f"{ale_current:.2f}",
-                f"{ale_ai:.2f}",
-                f"{delta:.2f}",
-            ]
-        )
-    totals = (total_current, total_ai, total_delta)
+    totals = (0.0, 0.0, 0.0)
+    for scenario_id, classification, *values in delta_table(config.portfolio.register):
+        totals = tuple(total + value for total, value in zip(totals, values))
+        lines.append([scenario_id, classification, *(f"{value:.2f}" for value in values)])
     if not np.isfinite(totals).all():
         raise ValueError(f"scenario ALE totals are not finite: {totals}")
     lines.append(["TOTAL", "", *(f"{total:.2f}" for total in totals)])
@@ -418,9 +404,7 @@ def cmd_track(args) -> int:
 
     portfolio = config.portfolio
     result = run_simulation(portfolio, config.simulation)
-    bands = _tracking_bands(result.columns)
-    analytic = analytic_evaluate(portfolio)
-
+    projections = _track_projections(portfolio, result.columns)
     rows = [
         [
             "period",
@@ -435,98 +419,70 @@ def cmd_track(args) -> int:
         ]
     ]
     for record in records:
-        rows.extend(_track_record_rows(record, portfolio, analytic, bands))
+        period = f"Y{record.year}Q{record.quarter}"
+        losses = {item_id: loss.total_loss for item_id, loss in record.losses.items()}
+        for record_type, actuals in (
+            ("benefit", record.benefits),
+            ("cost", record.costs),
+            ("loss", losses),
+        ):
+            for item_id, actual in sorted(actuals.items()):
+                quarter = projections[record_type][item_id][record.year] / 4.0
+                rows.append(
+                    _variance_row(
+                        period, record_type, item_id, actual, *np.broadcast_to(quarter, 3)
+                    )
+                )
     return _write_csv(rows, args.out)
 
 
-def _tracking_bands(
-    columns: SimulationColumns,
-) -> dict[tuple[str, str], tuple[float, float]]:
-    """[p10, p90] band of each item's simulated annual value."""
+def _track_projections(portfolio: Portfolio, columns: SimulationColumns) -> dict[str, dict]:
+    """Per-year [projection, p10, p90] of each benefit, cost and loss by id.
 
-    def band(values) -> tuple[float, float]:
-        ordered = sorted(values.tolist())
-        return percentile(ordered, 0.10), percentile(ordered, 0.90)
+    Each item's analytic mean and the p10 and p90 of its simulated annual
+    value go as one column through the model's own rule for that item; a
+    year the rule does not charge is the float 0.0.
+    """
+    horizon = portfolio.horizon_years
+    analytic = analytic_evaluate(portfolio)
 
-    bands = {("benefit", item_id): band(v) for item_id, v in columns.benefit_values.items()}
-    bands.update({("cost", item_id): band(v) for item_id, v in columns.cost_values.items()})
-    bands.update(
-        {("loss", item_id): band(ai) for item_id, (_, ai) in columns.scenario_losses.items()}
+    def spread(means: dict, draws: dict) -> dict[str, np.ndarray]:
+        spreads = {}
+        for item_id, values in draws.items():
+            ordered = sorted(values.tolist())
+            band = (percentile(ordered, 0.10), percentile(ordered, 0.90))
+            spreads[item_id] = np.array([means[item_id], *band])
+        return spreads
+
+    benefits = spread(analytic.benefit_values, columns.benefit_values)
+    costs = spread(analytic.cost_values, columns.cost_values)
+    losses = spread(  # the post-implementation state
+        {item_id: ai for item_id, (_, ai) in analytic.scenario_losses.items()},
+        {item_id: ai for item_id, (_, ai) in columns.scenario_losses.items()},
     )
-    return bands
-
-
-def _track_record_rows(
-    record: ActualsRecord,
-    portfolio: Portfolio,
-    analytic: IterationOutcome,
-    bands: dict[tuple[str, str], tuple[float, float]],
-) -> list[list]:
-    period = f"Y{record.year}Q{record.quarter}"
-    year = record.year
-    rows: list[list] = []
-
-    benefit_items = {item.id: item for item in portfolio.benefits}
-    for item_id, actual in sorted(record.benefits.items()):
-        item = benefit_items[item_id]
-        base = analytic.benefit_values[item_id]
-        annual = item_value_at(item, year, base)
-        band_low, band_high = bands.get(("benefit", item_id), (base, base))
-        rows.append(
-            _variance_row(
-                period,
-                "benefit",
-                item_id,
-                annual / 4.0,
-                actual,
-                item_value_at(item, year, band_low) / 4.0,
-                item_value_at(item, year, band_high) / 4.0,
-            )
-        )
-
-    capex_items = {item.id: item for item in portfolio.capex}
-    opex_spans = {
-        item.id: (item.start_year, item.end_year) for item in portfolio.opex
+    cost_rows = {
+        item.id: amortize_capex(item, horizon, amount=costs[item.id], cash_basis=True)
+        for item in portfolio.capex
     }
-    for item_id, actual in sorted(record.costs.items()):
-        if item_id in capex_items:
-            active = capex_items[item_id].incurred_year == year
-        else:
-            start, end = opex_spans[item_id]
-            active = start <= year <= end
-        annual = analytic.cost_values[item_id] if active else 0.0
-        band_low, band_high = (
-            bands.get(("cost", item_id), (annual, annual)) if active else (0.0, 0.0)
-        )
-        rows.append(
-            _variance_row(
-                period, "cost", item_id, annual / 4.0, actual, band_low / 4.0, band_high / 4.0
-            )
-        )
-
-    for item_id, loss in sorted(record.losses.items()):
-        annual = analytic.scenario_losses[item_id][1]  # post-implementation state
-        band_low, band_high = bands.get(("loss", item_id), (annual, annual))
-        rows.append(
-            _variance_row(
-                period,
-                "loss",
-                item_id,
-                annual / 4.0,
-                loss.total_loss,
-                band_low / 4.0,
-                band_high / 4.0,
-            )
-        )
-    return rows
+    cost_rows.update(
+        (item.id, costs_tco([], [item], portfolio.cost_rules, horizon, amounts=costs).opex)
+        for item in portfolio.opex
+    )
+    return {
+        "benefit": {
+            item.id: benefit_schedule([item], horizon, benefits) for item in portfolio.benefits
+        },
+        "cost": cost_rows,
+        "loss": {item_id: [column] * horizon for item_id, column in losses.items()},
+    }
 
 
 def _variance_row(
     period: str,
     record_type: str,
     item_id: str,
-    projected: float,
     actual: float,
+    projected: float,
     band_low: float,
     band_high: float,
 ) -> list:

@@ -315,6 +315,7 @@ def _parse_ab_test(
         collector.error(location, "ab_test must be an object")
         return None
     counts: dict[str, int] = {}
+    spec = {"value_per_success": (float, _REQUIRED), "annual_volume": (float, _REQUIRED)}
     if "csv" in data:
         csv_name = _require(data, "csv", location, collector, str)
         if csv_name is None:
@@ -336,11 +337,7 @@ def _parse_ab_test(
             collector.error(location, f"bad arm-count CSV {csv_path}: {exc}")
             return None
     else:
-        for key in _ARM_COUNTS:
-            counts[key] = _require(data, key, location, collector, int)
-            if counts[key] is None:
-                return None
-    spec = {"value_per_success": (float, _REQUIRED), "annual_volume": (float, _REQUIRED)}
+        spec = {**dict.fromkeys(_ARM_COUNTS, (int, _REQUIRED)), **spec}
     values = _read(data, location, collector, spec)
     if values is None:
         return None
@@ -419,52 +416,32 @@ def _parse_scenario(data: dict, loc: str, collector: _Collector) -> RiskScenario
     return replace(scenario, **frequencies)
 
 
-def _parse_penalties(
-    data: Any, collector: _Collector
-) -> list[RiskScenario]:
-    if data is None:
-        return []
-    loc = "penalties"
-    if not isinstance(data, dict):
-        collector.error(loc, "penalties must be an object")
-        return []
-    section = _read(
-        data, loc, collector, {"global_turnover": (float, _REQUIRED), "scenarios": (list, [])}
-    )
-    if section is None:
-        return []
+def _parse_penalty(
+    data: dict, loc: str, global_turnover: float, collector: _Collector
+) -> RiskScenario | None:
+    header = _header(data, loc, collector, "tier")
+    if header is None:
+        return None
+    loc, scenario_id, tier_name = header
+    if tier_name not in PENALTY_TIERS:
+        expected = sorted(PENALTY_TIERS)
+        collector.error(loc, f"unknown tier {tier_name!r}; expected one of {expected}")
+        return None
     spec = {
         "severity_fraction": (parse_quantity, _REQUIRED),
         "violation_rate": (parse_frequency, _REQUIRED),
         "description": (str, ""),
     }
-    scenarios = []
-    for index, entry in enumerate(section["scenarios"]):
-        entry_loc = f"penalties.scenarios[{index}]"
-        if not isinstance(entry, dict):
-            collector.error(entry_loc, "penalty scenario must be an object")
-            continue
-        scenario_id = _require(entry, "id", entry_loc, collector, str)
-        tier_name = _require(entry, "tier", entry_loc, collector, str)
-        if scenario_id is None or tier_name is None:
-            continue
-        if tier_name not in PENALTY_TIERS:
-            collector.error(
-                entry_loc, f"unknown tier {tier_name!r}; expected one of {sorted(PENALTY_TIERS)}"
-            )
-            continue
-        values = _read(entry, entry_loc, collector, spec)
-        if values is None:
-            continue
-        try:
-            scenarios.append(
-                risk_mod.penalty_scenario(
-                    scenario_id, PENALTY_TIERS[tier_name], section["global_turnover"], **values
-                )
-            )
-        except ValueError as exc:
-            collector.error(entry_loc, str(exc))
-    return scenarios
+    values = _read(data, loc, collector, spec)
+    if values is None:
+        return None
+    try:
+        return risk_mod.penalty_scenario(
+            scenario_id, PENALTY_TIERS[tier_name], global_turnover, **values
+        )
+    except ValueError as exc:
+        collector.error(loc, str(exc))
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +483,15 @@ def parse_config(
     opex_items = parsed(costs_section, "opex", _parse_opex, horizon, prefix="costs.")
     rules = _parse_rules(costs_section.get("rules"), collector)
     scenarios = parsed(data, "risks", _parse_scenario)
-    scenarios += tuple(_parse_penalties(data.get("penalties"), collector))
+    penalties = data.get("penalties")
+    if penalties is not None and not isinstance(penalties, dict):
+        collector.error("penalties", "penalties must be an object")
+    elif penalties is not None:
+        turnover = _require(penalties, "global_turnover", "penalties", collector, float)
+        if turnover is not None:
+            scenarios += parsed(
+                penalties, "scenarios", _parse_penalty, turnover, prefix="penalties."
+            )
 
     sim_section = data.get("simulation", {})
     if not isinstance(sim_section, dict):
@@ -593,8 +578,7 @@ def load_actuals(
     if read is None:
         return [], collector.diagnostics
     _, data = read
-    records_raw = data.get("records") if isinstance(data, dict) else None
-    if not isinstance(records_raw, list) or not records_raw:
+    if not isinstance(data, dict) or not data.get("records"):
         collector.error("$", "actuals must contain a nonempty 'records' list")
         return [], collector.diagnostics
 
@@ -604,13 +588,11 @@ def load_actuals(
         "costs": {item.id for item in portfolio.capex} | {item.id for item in portfolio.opex},
         "losses": {s.id for s in portfolio.register.scenarios},
     }
+    bounds = {"year": (0, portfolio.horizon_years - 1), "quarter": (1, 4)}
 
     records = []
-    for index, entry in enumerate(records_raw):
-        loc = f"records[{index}]"
-        if not isinstance(entry, dict):
-            collector.error(loc, "record must be an object")
-            continue
+    for loc, entry in _section_list(data, "records", collector):
+        reported = len(collector.diagnostics)
         period = _require(entry, "period", loc, collector, dict)
         if period is None:
             continue
@@ -618,10 +600,10 @@ def load_actuals(
         period = _read(period, f"{loc}.period", collector, spec)
         if period is None:
             continue
-        year, quarter = period["year"], period["quarter"]
-        if not 1 <= quarter <= 4:
-            collector.error(f"{loc}.period", f"quarter must lie in 1..4, got {quarter}")
-            continue
+        for key, (low, high) in bounds.items():
+            if not low <= period[key] <= high:
+                message = f"{key} must lie in {low}..{high}, got {period[key]}"
+                collector.error(f"{loc}.period", message)
         sections = {key: _require(entry, key, loc, collector, dict, {}) for key in known}
         if None in sections.values():
             continue
@@ -634,7 +616,6 @@ def load_actuals(
         if unknown:
             collector.error(loc, "unknown ids: " + ", ".join(unknown))
             continue
-        reported = len(collector.diagnostics)
         benefits_actual, costs_actual = (
             {
                 item_id: _require(sections[key], item_id, f"{loc}.{key}", collector, float)
@@ -654,8 +635,8 @@ def load_actuals(
         if len(collector.diagnostics) == reported:
             records.append(
                 ActualsRecord(
-                    year=year,
-                    quarter=quarter,
+                    year=period["year"],
+                    quarter=period["quarter"],
                     benefits=benefits_actual,
                     costs=costs_actual,
                     losses=losses_actual,

@@ -85,10 +85,6 @@ PENALTY_TIERS: dict[str, PenaltyTier] = {
 class RiskRegister:
     scenarios: tuple[RiskScenario, ...] = ()
 
-    def classifications(self) -> dict[str, str]:
-        """Derived classification per scenario; never hand-set."""
-        return {s.id: classify_scenario(s) for s in self.scenarios}
-
 
 def validate_scenario(scenario: RiskScenario) -> list[str]:
     problems: list[str] = []

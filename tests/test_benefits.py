@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from airoi.benefits import (
+    DEFAULT_PROJECTION_MARGINS,
     AbTestResult,
     BenefitItem,
     apply_projection_margin,
     benefit_schedule,
-    default_margin,
     item_value_at,
     uplift_estimate,
     validate_item,
@@ -122,8 +122,7 @@ def test_margin_domain_and_defaults():
         apply_projection_margin(10.0, 1.0)
     with pytest.raises(ValueError):
         apply_projection_margin(10.0, -0.1)
-    assert default_margin("early") == 0.25
-    assert default_margin("mature") < 0.25
+    assert DEFAULT_PROJECTION_MARGINS == {"early": 0.25, "mature": 0.10}
 
 
 # -- schedules ---------------------------------------------------------------------

@@ -7,8 +7,10 @@ import random
 
 import pytest
 
+from airoi.benefits import benefit_schedule
 from airoi.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from airoi.config import load_config
+from airoi.costs import tco_pair
 from airoi.engine import MAX_ITERATIONS, run_simulation
 from airoi.valuation import DiscountSpec, evaluate_outcome
 from conftest import minimal_config, write_config
@@ -412,6 +414,54 @@ def test_track_quarters_sum_to_annual_projection(tmp_path, capsys):
     assert sum(projections) == 80000.0
 
 
+def test_track_projections_follow_the_model_schedules(
+    tmp_path, capsys, reference_config_path, reference_config
+):
+    # One record per year holding every id: four times the quarter's summed
+    # projections is the model's own row for that year. Opex includes the
+    # specialist premium, capex is booked in full in its incurred year, and
+    # benefits are attributed and eroded.
+    portfolio = reference_config.portfolio
+    horizon = portfolio.horizon_years
+    benefit_ids = [item.id for item in portfolio.benefits]
+    capex_ids = [item.id for item in portfolio.capex]
+    opex_ids = [item.id for item in portfolio.opex]
+    records = [
+        {
+            "period": {"year": year, "quarter": 1},
+            "benefits": dict.fromkeys(benefit_ids, 0.0),
+            "costs": dict.fromkeys(capex_ids + opex_ids, 0.0),
+            "losses": {
+                scenario.id: {"events": 0, "total_loss": 0.0}
+                for scenario in portfolio.register.scenarios
+            },
+        }
+        for year in range(horizon)
+    ]
+    actuals_path = tmp_path / "actuals.json"
+    actuals_path.write_text(json.dumps({"records": records}))
+    code, out, _ = run_cli(capsys, "track", str(reference_config_path), str(actuals_path))
+    assert code == EXIT_OK
+    projected = {(row[0], row[2]): float(row[3]) for row in parse_csv(out)[1:]}
+
+    costs_path = tmp_path / "costs.csv"
+    argv = ("evaluate", str(reference_config_path), "--costs-csv", str(costs_path))
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    opex_row = [float(row[2]) for row in parse_csv(costs_path.read_text())[1:]]
+    capex_row = tco_pair(portfolio.capex, (), portfolio.cost_rules, horizon)[1].capex
+    benefit_row = benefit_schedule(portfolio.benefits, horizon)
+    for year in range(horizon):
+        for ids, expected in (
+            (benefit_ids, benefit_row[year]),
+            (capex_ids, capex_row[year]),
+            (opex_ids, opex_row[year]),
+        ):
+            annual = 4 * sum(projected[(f"Y{year}Q1", item_id)] for item_id in ids)
+            # Each projection is a two-decimal quarter, so 4 x its rounding
+            # is 0.02; the costs CSV cell adds 0.005.
+            assert abs(annual - expected) <= 0.02 * len(ids) + 0.005, (year, ids)
+
+
 def test_track_unknown_id_exits_with_listing(tmp_path, capsys):
     path = write_config(tmp_path, minimal_config())
     actuals_path = tmp_path / "actuals.json"
@@ -475,6 +525,15 @@ def test_track_quarter_outside_the_year_is_a_diagnostic(tmp_path, capsys):
         code, out, err = run_track(tmp_path, capsys, json.dumps({"records": [record]}).encode())
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err == f"error: records[0].period: quarter must lie in 1..4, got {quarter}\n"
+
+
+def test_track_year_outside_the_horizon_is_a_diagnostic(tmp_path, capsys):
+    # The minimal portfolio's horizon is 3 years: years 0..2.
+    for year in (-1, 3, 99):
+        record = {"period": {"year": year, "quarter": 1}}
+        code, out, err = run_track(tmp_path, capsys, json.dumps({"records": [record]}).encode())
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"error: records[0].period: year must lie in 0..2, got {year}\n"
 
 
 def test_track_empty_actuals_rejected(tmp_path, capsys):

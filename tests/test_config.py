@@ -123,6 +123,30 @@ def test_penalty_section_builds_scenario(tmp_path):
     assert scenario.sle == Pert(0.0, 7e5, 3.5e6)  # fractions scaled by the 70M magnitude
 
 
+def test_ab_test_reports_every_missing_field(tmp_path, reference_config_path):
+    data = json.loads(reference_config_path.read_text())
+    index, item = next(
+        (i, item)
+        for i, item in enumerate(data["benefits"])
+        if item["id"] == "renewal-conversion-uplift"
+    )
+    item["ab_test"] = {}
+    config, diagnostics = load_data(tmp_path, data)
+    assert config is None
+    location = f"error: benefits[{index}] (renewal-conversion-uplift).ab_test"
+    assert error_messages(diagnostics) == [
+        f"{location}: missing required field {key!r}"
+        for key in (
+            "treatment_trials",
+            "treatment_successes",
+            "control_trials",
+            "control_successes",
+            "value_per_success",
+            "annual_volume",
+        )
+    ]
+
+
 # -- validation failures --------------------------------------------------------------
 
 
@@ -285,6 +309,18 @@ def test_unknown_penalty_tier(tmp_path):
     config, diagnostics = load_data(tmp_path, data)
     assert config is None
     assert any("minor_infraction" in m for m in error_messages(diagnostics))
+
+
+def test_penalty_entries_read_like_every_section(tmp_path):
+    data = minimal_config()
+    data["penalties"] = {"global_turnover": 1e9, "scenarios": ["x", {"id": "p1", "tier": "nope"}]}
+    config, diagnostics = load_data(tmp_path, data)
+    assert config is None
+    assert error_messages(diagnostics) == [
+        "error: penalties.scenarios: every scenarios entry must be an object",
+        "error: penalties.scenarios[1] (p1): unknown tier 'nope'; expected one of "
+        "['high_risk_violation', 'information_failure', 'prohibited_practice']",
+    ]
 
 
 def test_severity_fraction_outside_unit_interval(tmp_path):

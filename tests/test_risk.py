@@ -248,7 +248,6 @@ def test_register_classifications_derived():
             scenario_with_ales("better", 2_000.0, 1_000.0),
         )
     )
-    assert register.classifications() == {"worse": "introduction", "better": "reduction"}
     rows = delta_table(register)
     assert [row[0] for row in rows] == ["worse", "better"]
     assert [row[1] for row in rows] == ["introduction", "reduction"]
