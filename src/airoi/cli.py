@@ -36,8 +36,8 @@ from .engine import (
     ENGINE_METRICS,
     Portfolio,
     SampleSummary,
-    SimulationColumns,
     SimulationConfig,
+    SimulationResult,
     analytic_evaluate,
     run_simulation,
     validate_simulation,
@@ -52,7 +52,7 @@ EXIT_IO = 3
 REPORT_SCHEMA_VERSION = 1
 
 # Currency-valued fields are rounded to 2 decimals at serialization only.
-_CURRENCY_METRICS = {"net_risk_adjusted_benefit", "npv", "risk_delta"}
+_CURRENCY_METRICS = {"net_risk_adjusted_benefit", "npv", *ENGINE_METRICS}
 
 # The valuation fields of a --dump-iterations row, after the engine metrics.
 _DUMP_VALUATION = ("net_risk_adjusted_benefit", "npv", "roi_ratio", "irr", "payback_years")
@@ -203,15 +203,16 @@ def _write_csv(rows: Iterable[Sequence], out: str | None) -> int:
     return _write(out, lambda handle: csv.writer(handle, lineterminator="\n").writerows(rows))
 
 
-def _round_currency(value: float) -> float:
-    return round(value, 2)
+def _serialized(name: str, value):
+    """The value of metric ``name`` as reports write it: money to 2 decimals."""
+    return round(value, 2) if name in _CURRENCY_METRICS else value
 
 
 def _summary_dict(name: str, summary: SampleSummary) -> dict:
-    as_is = asdict(summary)
-    if name in _CURRENCY_METRICS:
-        as_is.update({key: _round_currency(value) for key, value in as_is.items() if key != "n"})
-    return as_is
+    return {
+        key: value if key == "n" else _serialized(name, value)
+        for key, value in asdict(summary).items()
+    }
 
 
 def _canonical_json(data) -> str:
@@ -222,9 +223,9 @@ def _body_hash(body: dict) -> str:
     return hashlib.sha256(_canonical_json(body).encode("utf-8")).hexdigest()
 
 
-def _valuations(columns: SimulationColumns, portfolio: Portfolio) -> list[ValuationOutcome]:
+def _valuations(result: SimulationResult, portfolio: Portfolio) -> list[ValuationOutcome]:
     discount = DiscountSpec(portfolio.discount_rate)
-    return [valuation_mod.evaluate_outcome(row, discount) for row in columns.iter_rows()]
+    return [valuation_mod.evaluate_outcome(row, discount) for row in result.iter_rows()]
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +257,13 @@ def cmd_evaluate(args) -> int:
         status = _write_csv(schedule_csv_rows(schedule), args.costs_csv)
         if status != EXIT_OK:
             return status
+    values = {name: getattr(outcome, name) for name in ENGINE_METRICS}
+    values.update((name, getattr(valuation, name)) for name in valuation_mod.REPORT_METRICS)
     body = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "report_kind": "analytic_evaluation",
         "config": _config_block(config),
-        "valuation": {
-            "net_risk_adjusted_benefit": _round_currency(valuation.net_risk_adjusted_benefit),
-            "roi_ratio": valuation.roi_ratio,
-            "npv": _round_currency(valuation.npv),
-            "irr": valuation.irr,
-            "payback_years": valuation.payback_years,
-            "risk_delta": _round_currency(valuation.risk_delta),
-            "gross_benefits": _round_currency(outcome.gross_benefits),
-            "risk_reduction": _round_currency(outcome.risk_reduction),
-            "risk_increase": _round_currency(outcome.risk_increase),
-            "tco_total": _round_currency(outcome.tco_total),
-        },
+        "valuation": {name: _serialized(name, value) for name, value in values.items()},
         "notes": _report_notes(),
     }
     report = {"body": body, "body_sha256": _body_hash(body)}
@@ -289,12 +281,12 @@ def cmd_simulate(args) -> int:
 
     started = time.perf_counter()
     result = run_simulation(portfolio, sim)
-    valuations = _valuations(result.columns, portfolio)
+    valuations = _valuations(result, portfolio)
     report = valuation_mod.build_report(valuations)
     elapsed = time.perf_counter() - started
 
     if args.dump_iterations:
-        status = _write_csv(_dump_rows(result.columns, valuations), args.dump_iterations)
+        status = _write_csv(_dump_rows(result, valuations), args.dump_iterations)
         if status != EXIT_OK:
             return status
     if args.metrics_csv:
@@ -302,7 +294,7 @@ def cmd_simulate(args) -> int:
         if status != EXIT_OK:
             return status
 
-    body = _simulation_body(config, sim, report, executed_iterations=len(result.columns))
+    body = _simulation_body(config, sim, report, executed_iterations=len(result))
     envelope = {
         "body": body,
         "body_sha256": _body_hash(body),
@@ -365,12 +357,10 @@ def _metric_csv_rows(report: ValuationReport) -> Iterator[list]:
             yield [name, *cells, report.exclusions.get(name, 0)]
 
 
-def _dump_rows(
-    columns: SimulationColumns, valuations: Sequence[ValuationOutcome]
-) -> Iterator[list]:
+def _dump_rows(result: SimulationResult, valuations: Sequence[ValuationOutcome]) -> Iterator[list]:
     """One CSV row per iteration: its engine metrics, then its valuation."""
     yield ["iteration", *ENGINE_METRICS, *_DUMP_VALUATION]
-    for index, (row, valuation) in enumerate(zip(columns.iter_rows(), valuations)):
+    for index, (row, valuation) in enumerate(zip(result.iter_rows(), valuations)):
         cells = (getattr(valuation, name) for name in _DUMP_VALUATION)
         yield [index, *row[:5], *("" if cell is None else cell for cell in cells)]
 
@@ -404,7 +394,7 @@ def cmd_track(args) -> int:
 
     portfolio = config.portfolio
     result = run_simulation(portfolio, config.simulation)
-    projections = _track_projections(portfolio, result.columns)
+    projections = _track_projections(portfolio, result)
     rows = [
         [
             "period",
@@ -420,11 +410,10 @@ def cmd_track(args) -> int:
     ]
     for record in records:
         period = f"Y{record.year}Q{record.quarter}"
-        losses = {item_id: loss.total_loss for item_id, loss in record.losses.items()}
         for record_type, actuals in (
             ("benefit", record.benefits),
             ("cost", record.costs),
-            ("loss", losses),
+            ("loss", record.losses),
         ):
             for item_id, actual in sorted(actuals.items()):
                 quarter = projections[record_type][item_id][record.year] / 4.0
@@ -436,7 +425,7 @@ def cmd_track(args) -> int:
     return _write_csv(rows, args.out)
 
 
-def _track_projections(portfolio: Portfolio, columns: SimulationColumns) -> dict[str, dict]:
+def _track_projections(portfolio: Portfolio, result: SimulationResult) -> dict[str, dict]:
     """Per-year [projection, p10, p90] of each benefit, cost and loss by id.
 
     Each item's analytic mean and the p10 and p90 of its simulated annual
@@ -454,11 +443,11 @@ def _track_projections(portfolio: Portfolio, columns: SimulationColumns) -> dict
             spreads[item_id] = np.array([means[item_id], *band])
         return spreads
 
-    benefits = spread(analytic.benefit_values, columns.benefit_values)
-    costs = spread(analytic.cost_values, columns.cost_values)
+    benefits = spread(analytic.benefit_values, result.benefit_values)
+    costs = spread(analytic.cost_values, result.cost_values)
     losses = spread(  # the post-implementation state
         {item_id: ai for item_id, (_, ai) in analytic.scenario_losses.items()},
-        {item_id: ai for item_id, (_, ai) in columns.scenario_losses.items()},
+        {item_id: ai for item_id, (_, ai) in result.scenario_losses.items()},
     )
     cost_rows = {
         item.id: amortize_capex(item, horizon, amount=costs[item.id], cash_basis=True)
@@ -521,7 +510,7 @@ def cmd_plotdata(args) -> int:
     if sim is None:
         return EXIT_VALIDATION
     result = run_simulation(config.portfolio, sim)
-    valuations = _valuations(result.columns, config.portfolio)
+    valuations = _valuations(result, config.portfolio)
     values = sorted(v for v in (getattr(o, metric) for o in valuations) if v is not None)
     if not values:
         print(f"error: metric {metric!r} is undefined for every iteration", file=sys.stderr)

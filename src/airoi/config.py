@@ -59,24 +59,18 @@ class PortfolioConfig:
 
     portfolio: Portfolio
     simulation: SimulationConfig
-    schema_version: int
-    source_path: Path | None
     content_hash: str
 
 
 @dataclass(frozen=True)
-class LossActual:
-    events: int
-    total_loss: float
-
-
-@dataclass(frozen=True)
 class ActualsRecord:
+    """One quarter's actuals by item id; a loss is the quarter's total loss."""
+
     year: int
     quarter: int
     benefits: dict[str, float] = field(default_factory=dict)
     costs: dict[str, float] = field(default_factory=dict)
-    losses: dict[str, LossActual] = field(default_factory=dict)
+    losses: dict[str, float] = field(default_factory=dict)
 
 
 class _Collector:
@@ -417,8 +411,9 @@ def _parse_scenario(data: dict, loc: str, collector: _Collector) -> RiskScenario
 
 
 def _parse_penalty(
-    data: dict, loc: str, global_turnover: float, collector: _Collector
+    data: dict, loc: str, global_turnover: float | None, collector: _Collector
 ) -> RiskScenario | None:
+    """The entry's scenario; without a valid turnover it is only checked."""
     header = _header(data, loc, collector, "tier")
     if header is None:
         return None
@@ -433,7 +428,7 @@ def _parse_penalty(
         "description": (str, ""),
     }
     values = _read(data, loc, collector, spec)
-    if values is None:
+    if values is None or global_turnover is None:
         return None
     try:
         return risk_mod.penalty_scenario(
@@ -488,10 +483,7 @@ def parse_config(
         collector.error("penalties", "penalties must be an object")
     elif penalties is not None:
         turnover = _require(penalties, "global_turnover", "penalties", collector, float)
-        if turnover is not None:
-            scenarios += parsed(
-                penalties, "scenarios", _parse_penalty, turnover, prefix="penalties."
-            )
+        scenarios += parsed(penalties, "scenarios", _parse_penalty, turnover, prefix="penalties.")
 
     sim_section = data.get("simulation", {})
     if not isinstance(sim_section, dict):
@@ -526,16 +518,8 @@ def parse_config(
 
     if has_errors(collector.diagnostics):
         return None, collector.diagnostics
-    return (
-        PortfolioConfig(
-            portfolio=portfolio,
-            simulation=simulation,
-            schema_version=SCHEMA_VERSION,
-            source_path=source_path,
-            content_hash=content_hash,
-        ),
-        collector.diagnostics,
-    )
+    config = PortfolioConfig(portfolio=portfolio, simulation=simulation, content_hash=content_hash)
+    return config, collector.diagnostics
 
 
 def _read_json(path: Path, what: str, collector: _Collector) -> tuple[bytes, Any] | None:
@@ -566,6 +550,10 @@ def load_config(path: str | Path) -> tuple[PortfolioConfig | None, list[Diagnost
 # ---------------------------------------------------------------------------
 # Quarterly actuals
 # ---------------------------------------------------------------------------
+
+
+# A loss actual: its total, and its event count, which is checked but not compared.
+_LOSS_ACTUAL = {"total_loss": (float, _REQUIRED), "events": (int, 0)}
 
 
 def load_actuals(
@@ -627,11 +615,8 @@ def load_actuals(
         for item_id in sections["losses"]:
             loss = _require(sections["losses"], item_id, f"{loc}.losses", collector, dict)
             if loss is not None:
-                where = f"{loc}.losses.{item_id}"
-                losses_actual[item_id] = LossActual(
-                    events=_require(loss, "events", where, collector, int, 0),
-                    total_loss=_require(loss, "total_loss", where, collector, float, 0.0),
-                )
+                values = _read(loss, f"{loc}.losses.{item_id}", collector, _LOSS_ACTUAL)
+                losses_actual[item_id] = None if values is None else values["total_loss"]
         if len(collector.diagnostics) == reported:
             records.append(
                 ActualsRecord(

@@ -41,7 +41,7 @@ from .distributions import (
 )
 from .risk import RiskRegister
 
-# Engine-level metrics summarized directly from iteration outcomes.
+# The per-iteration engine metrics, each an amount of money, in row order.
 ENGINE_METRICS = (
     "gross_benefits",
     "risk_reduction",
@@ -50,7 +50,7 @@ ENGINE_METRICS = (
     "risk_delta",
 )
 
-# One iteration's engine metrics and per-year rows, as SimulationColumns.iter_rows reads them.
+# One iteration's engine metrics and per-year rows, as SimulationResult.iter_rows reads them.
 IterationRow = namedtuple(
     "IterationRow", ENGINE_METRICS + ("cash_flows", "cash_basis_flows", "tco_per_year")
 )
@@ -126,11 +126,12 @@ class Portfolio:
 
 
 @dataclass(eq=False)
-class SimulationColumns:
-    """Struct-of-arrays results: row ``r`` of every array is iteration ``r``.
+class SimulationResult:
+    """A run's results as struct-of-arrays: row ``r`` of every array is iteration ``r``.
 
     Per-iteration metrics are 1-D, per-year rows are iterations x horizon,
-    and the per-item draws are one 1-D array per item id.
+    and the per-item draws are one 1-D array per item id.  ``outcomes`` is
+    built from the arrays on first read and then kept.
     """
 
     gross_benefits: np.ndarray
@@ -146,7 +147,7 @@ class SimulationColumns:
     scenario_losses: dict[str, tuple[np.ndarray, np.ndarray]]
 
     @classmethod
-    def concat(cls, parts: Sequence["SimulationColumns"]) -> "SimulationColumns":
+    def concat(cls, parts: Sequence["SimulationResult"]) -> "SimulationResult":
         """Stack consecutive iteration blocks."""
         if len(parts) == 1:
             return parts[0]
@@ -186,7 +187,8 @@ class SimulationColumns:
             part = [array[start : start + _KERNEL_BLOCK].tolist() for array in arrays]
             yield from map(IterationRow._make, zip(*part))
 
-    def iter_outcomes(self) -> Iterator[IterationOutcome]:
+    @cached_property
+    def outcomes(self) -> list[IterationOutcome]:
         """One :class:`IterationOutcome` per row, in iteration order."""
         benefits = {key: values.tolist() for key, values in self.benefit_values.items()}
         costs = {key: values.tolist() for key, values in self.cost_values.items()}
@@ -194,8 +196,8 @@ class SimulationColumns:
             key: list(zip(current.tolist(), ai.tolist()))
             for key, (current, ai) in self.scenario_losses.items()
         }
-        for i, row in enumerate(self.iter_rows()):
-            yield IterationOutcome(
+        return [
+            IterationOutcome(
                 i,
                 *row[:5],
                 *map(tuple, row[5:]),
@@ -203,25 +205,8 @@ class SimulationColumns:
                 cost_values={key: values[i] for key, values in costs.items()},
                 scenario_losses={key: values[i] for key, values in losses.items()},
             )
-
-
-@dataclass(eq=False)
-class SimulationResult:
-    """A run's columns.
-
-    ``outcomes`` and ``summaries`` are views: they are built from
-    ``columns`` on first read and then kept.
-    """
-
-    columns: SimulationColumns
-
-    @cached_property
-    def outcomes(self) -> list[IterationOutcome]:
-        return list(self.columns.iter_outcomes())
-
-    @cached_property
-    def summaries(self) -> dict[str, SampleSummary]:
-        return {name: summarize(getattr(self.columns, name).tolist()) for name in ENGINE_METRICS}
+            for i, row in enumerate(self.iter_rows())
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +378,7 @@ def _assemble_columns(
     benefit_values: dict[str, np.ndarray],
     cost_values: dict[str, np.ndarray],
     scenario_losses: dict[str, tuple[np.ndarray, np.ndarray]],
-) -> SimulationColumns:
+) -> SimulationResult:
     """Rows of ``n`` iterations from their per-item values and per-scenario losses.
 
     Every value is a column of length ``n``.  Benefit and cost rows come
@@ -421,7 +406,7 @@ def _assemble_columns(
         increase_annual -= np.where(reduces, 0.0, delta)
     risk_delta = reduction_annual - increase_annual
 
-    return SimulationColumns(
+    return SimulationResult(
         gross_benefits=_fsum_rows(benefit_row),
         risk_reduction=reduction_annual * horizon,
         risk_increase=increase_annual * horizon,
@@ -500,7 +485,7 @@ def _draw_losses(
 
 def _simulate_block(
     plan: _Plan, sampler: SubstreamSampler, start: int, stop: int
-) -> SimulationColumns:
+) -> SimulationResult:
     def draw(entries) -> dict[str, np.ndarray]:
         return {
             item_id: _draw_values(quantity, words, sampler, start, stop)
@@ -527,7 +512,7 @@ def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
 
     cost_values = {item.id: column(mean(item.amount)) for item in portfolio.capex}
     cost_values.update({item.id: column(mean(item.annual_amount)) for item in portfolio.opex})
-    columns = _assemble_columns(
+    block = _assemble_columns(
         portfolio,
         1,
         {item.id: column(mean(item.annual_value)) for item in portfolio.benefits},
@@ -540,7 +525,7 @@ def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
             for scenario in portfolio.register.scenarios
         },
     )
-    return next(columns.iter_outcomes())
+    return block.outcomes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +535,10 @@ def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
 
 def _run_chunk(
     portfolio: Portfolio, master_seed: int, start: int, stop: int
-) -> SimulationColumns:
+) -> SimulationResult:
     plan = _Plan(portfolio, master_seed)
     sampler = SubstreamSampler()
-    return SimulationColumns.concat(
+    return SimulationResult.concat(
         [
             _simulate_block(plan, sampler, lo, min(lo + _KERNEL_BLOCK, stop))
             for lo in range(start, stop, _KERNEL_BLOCK)
@@ -580,7 +565,7 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
     target = cfg.target_relative_se
     step = cfg.iterations if target is None else _EARLY_STOP_BLOCK
 
-    blocks: list[SimulationColumns] = []
+    blocks: list[SimulationResult] = []
     nets: list[float] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for start in range(0, cfg.iterations, step):
@@ -594,7 +579,7 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
                     pool.submit(_run_chunk, portfolio, cfg.master_seed, lo, hi)
                     for lo, hi in zip(bounds, bounds[1:])
                 ]
-                block = SimulationColumns.concat([future.result() for future in futures])
+                block = SimulationResult.concat([future.result() for future in futures])
             blocks.append(block)
             if target is not None:
                 nets.extend(
@@ -609,7 +594,7 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
                 if len(nets) >= 2 and net_mean != 0:
                     if standard_error(nets) / abs(net_mean) <= target:
                         break
-    return SimulationResult(columns=SimulationColumns.concat(blocks))
+    return SimulationResult.concat(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -702,3 +702,16 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing config argument
     assert exc.value.code == 2
+
+
+def test_track_loss_without_total_loss_is_a_diagnostic(tmp_path, capsys):
+    # total_loss is required; events is optional but must be an integer.
+    for loss, error in (
+        ({}, "missing required field 'total_loss'"),
+        ({"events": 1}, "missing required field 'total_loss'"),
+        ({"events": "x", "total_loss": 1.0}, "field 'events' must be an integer, got 'x'"),
+    ):
+        record = {"period": {"year": 1, "quarter": 1}, "losses": {"outage": loss}}
+        code, out, err = run_track(tmp_path, capsys, json.dumps({"records": [record]}).encode())
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"error: records[0].losses.outage: {error}\n"

@@ -323,6 +323,33 @@ def test_penalty_entries_read_like_every_section(tmp_path):
     ]
 
 
+def test_penalty_entries_read_behind_a_bad_turnover(tmp_path):
+    # A missing or bad turnover is reported, and every entry is still read;
+    # no scenario is built without a valid turnover.
+    tier_error = (
+        "error: penalties.scenarios[0] (p1): unknown tier 'nope'; expected one of "
+        "['high_risk_violation', 'information_failure', 'prohibited_practice']"
+    )
+    valid_entry = {
+        "id": "p2",
+        "tier": "prohibited_practice",
+        "severity_fraction": 0.01,
+        "violation_rate": 0.1,
+    }
+    for turnover, turnover_error in (
+        ({}, "error: penalties: missing required field 'global_turnover'"),
+        (
+            {"global_turnover": "x"},
+            "error: penalties: field 'global_turnover' must be a finite number, got 'x'",
+        ),
+    ):
+        data = minimal_config()
+        data["penalties"] = {**turnover, "scenarios": [{"id": "p1", "tier": "nope"}, valid_entry]}
+        config, diagnostics = load_data(tmp_path, data)
+        assert config is None
+        assert error_messages(diagnostics) == [turnover_error, tier_error]
+
+
 def test_severity_fraction_outside_unit_interval(tmp_path):
     data = minimal_config()
     data["penalties"] = {
@@ -398,7 +425,7 @@ def test_actuals_load_happy_path(tmp_path):
     records, diagnostics = load_actuals(path, config)
     assert not has_errors(diagnostics)
     assert len(records) == 1
-    assert records[0].losses["outage"].total_loss == 4_000.0
+    assert records[0].losses["outage"] == 4_000.0
 
 
 def test_actuals_unknown_ids_listed(tmp_path):

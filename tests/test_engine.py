@@ -21,6 +21,7 @@ from airoi.distributions import (
     scaled,
 )
 from airoi.engine import (
+    ENGINE_METRICS,
     MAX_ITERATIONS,
     Portfolio,
     SimulationConfig,
@@ -105,7 +106,6 @@ def test_same_seed_repeats_bit_identically():
     first = run_simulation(portfolio, cfg)
     second = run_simulation(portfolio, cfg)
     assert first.outcomes == second.outcomes
-    assert first.summaries == second.summaries
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
@@ -146,11 +146,10 @@ def test_worker_count_does_not_change_results(monkeypatch):
             built.clear()
             chunks.clear()
             assert serial.outcomes == parallel.outcomes
-            assert serial.summaries == parallel.summaries
         assert [o.index for o in parallel.outcomes] == list(range(iterations))
-        valuations = [evaluate_outcome(row, discount) for row in serial.columns.iter_rows()]
+        valuations = [evaluate_outcome(row, discount) for row in serial.iter_rows()]
         assert valuations == [evaluate_outcome(o, discount) for o in serial.outcomes]
-        assert [v.risk_delta for v in valuations] == serial.columns.risk_delta.tolist()
+        assert [v.risk_delta for v in valuations] == serial.risk_delta.tolist()
 
 
 def test_outcomes_reproducible_from_named_streams():
@@ -204,7 +203,8 @@ def test_all_point_model_simulation_is_degenerate():
         assert outcome.gross_benefits == analytic.gross_benefits
         assert outcome.tco_total == analytic.tco_total
         assert outcome.risk_delta == analytic.risk_delta
-    for summary in result.summaries.values():
+    for name in ENGINE_METRICS:
+        summary = summarize(getattr(result, name).tolist())
         assert summary.standard_error == 0.0
         assert summary.p10 == summary.p50 == summary.p90
 
@@ -424,7 +424,6 @@ def test_early_stop_quantizes_to_blocks():
             ),
         )
         assert blocked.outcomes == full.outcomes
-        assert blocked.summaries == full.summaries
 
 
 def _random_portfolio(gen) -> Portfolio:
@@ -548,8 +547,8 @@ def _pipeline_outcome(portfolio: Portfolio, seed: int, index: int):
         )
         for s in portfolio.register.scenarios
     }
-    columns = _assemble_columns(portfolio, 1, benefit_values, cost_values, scenario_losses)
-    return dataclasses.replace(next(columns.iter_outcomes()), index=index)
+    block = _assemble_columns(portfolio, 1, benefit_values, cost_values, scenario_losses)
+    return dataclasses.replace(block.outcomes[0], index=index)
 
 
 def test_random_portfolios_satisfy_core_invariants():
@@ -586,10 +585,11 @@ def test_random_portfolios_satisfy_core_invariants():
             )
             assert len(outcome.cash_flows) == horizon
             assert all(v >= 0.0 for v in outcome.tco_per_year)
-        for summary in result.summaries.values():
+        for name in ENGINE_METRICS:
+            summary = summarize(getattr(result, name).tolist())
             assert summary.min <= summary.p10 <= summary.p50 <= summary.p90 <= summary.max
         discount = DiscountSpec(portfolio.discount_rate)
-        assert [evaluate_outcome(row, discount) for row in result.columns.iter_rows()] == [
+        assert [evaluate_outcome(row, discount) for row in result.iter_rows()] == [
             evaluate_outcome(o, discount) for o in result.outcomes
         ]
 
