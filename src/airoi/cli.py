@@ -43,7 +43,7 @@ from .engine import (
     validate_simulation,
 )
 from .risk import delta_table
-from .valuation import DiscountSpec, ValuationOutcome, ValuationReport
+from .valuation import DiscountSpec, ValuationColumns, ValuationReport
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -223,9 +223,8 @@ def _body_hash(body: dict) -> str:
     return hashlib.sha256(_canonical_json(body).encode("utf-8")).hexdigest()
 
 
-def _valuations(result: SimulationResult, portfolio: Portfolio) -> list[ValuationOutcome]:
-    discount = DiscountSpec(portfolio.discount_rate)
-    return [valuation_mod.evaluate_outcome(row, discount) for row in result.iter_rows()]
+def _valuations(result: SimulationResult, portfolio: Portfolio) -> ValuationColumns:
+    return valuation_mod.evaluate_outcome(result, DiscountSpec(portfolio.discount_rate))
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +356,18 @@ def _metric_csv_rows(report: ValuationReport) -> Iterator[list]:
             yield [name, *cells, report.exclusions.get(name, 0)]
 
 
-def _dump_rows(result: SimulationResult, valuations: Sequence[ValuationOutcome]) -> Iterator[list]:
+def _dump_rows(result: SimulationResult, valuations: ValuationColumns) -> Iterator[list]:
     """One CSV row per iteration: its engine metrics, then its valuation."""
     yield ["iteration", *ENGINE_METRICS, *_DUMP_VALUATION]
-    for index, (row, valuation) in enumerate(zip(result.iter_rows(), valuations)):
-        cells = (getattr(valuation, name) for name in _DUMP_VALUATION)
-        yield [index, *row[:5], *("" if cell is None else cell for cell in cells)]
+    columns = [getattr(result, name).tolist() for name in ENGINE_METRICS]
+    for name in _DUMP_VALUATION:
+        cells = getattr(valuations, name).tolist()
+        defined = valuations.defined.get(name)
+        if defined is not None:
+            cells = [cell if ok else "" for cell, ok in zip(cells, defined.tolist())]
+        columns.append(cells)
+    for index, cells in enumerate(zip(*columns)):
+        yield [index, *cells]
 
 
 def cmd_delta(args) -> int:
@@ -510,14 +515,17 @@ def cmd_plotdata(args) -> int:
     if sim is None:
         return EXIT_VALIDATION
     result = run_simulation(config.portfolio, sim)
-    valuations = _valuations(result, config.portfolio)
-    values = sorted(v for v in (getattr(o, metric) for o in valuations) if v is not None)
-    if not values:
+    defined = _valuations(result, config.portfolio).values(metric)
+    if not defined.size:
         print(f"error: metric {metric!r} is undefined for every iteration", file=sys.stderr)
         return EXIT_VALIDATION
+    values = sorted(defined.tolist())
+    low, high = values[0], values[-1]
+    # The bin width needs finite values whose span is finite too.
+    if not (np.isfinite(defined).all() and np.isfinite(high - low)):
+        raise ValueError(f"metric {metric!r} or its span leaves the float range")
 
     rows = [["kind", "x0", "x1", "value"]]
-    low, high = values[0], values[-1]
     if low == high:
         rows.append(["bin", f"{low!r}", f"{high!r}", len(values)])
         rows.append(["cdf", f"{high!r}", "", 1.0])

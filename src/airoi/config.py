@@ -483,6 +483,9 @@ def parse_config(
         collector.error("penalties", "penalties must be an object")
     elif penalties is not None:
         turnover = _require(penalties, "global_turnover", "penalties", collector, float)
+        if turnover is not None and turnover < 0:
+            collector.error("penalties", f"global_turnover must be >= 0, got {turnover}")
+            turnover = None
         scenarios += parsed(penalties, "scenarios", _parse_penalty, turnover, prefix="penalties.")
 
     sim_section = data.get("simulation", {})

@@ -368,7 +368,12 @@ def _matrix(row: Sequence, n: int) -> np.ndarray:
     return matrix
 
 
-def _fsum_rows(rows: np.ndarray) -> np.ndarray:
+def fsum_rows(rows: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row, so a row's total has the one-row bits.
+
+    A row whose partial sums overflow raises ``OverflowError``
+    (``intermediate overflow in fsum``), first row first, as on one row.
+    """
     return np.fromiter(map(math.fsum, rows.tolist()), dtype=float, count=rows.shape[0])
 
 
@@ -407,10 +412,10 @@ def _assemble_columns(
     risk_delta = reduction_annual - increase_annual
 
     return SimulationResult(
-        gross_benefits=_fsum_rows(benefit_row),
+        gross_benefits=fsum_rows(benefit_row),
         risk_reduction=reduction_annual * horizon,
         risk_increase=increase_annual * horizon,
-        tco_total=_fsum_rows(tco_per_year),
+        tco_total=fsum_rows(tco_per_year),
         risk_delta=risk_delta,
         cash_flows=benefit_row + risk_delta[:, None] - tco_per_year,
         cash_basis_flows=benefit_row + risk_delta[:, None] - cash_per_year,

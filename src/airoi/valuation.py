@@ -4,6 +4,12 @@ Composes the headline identity — gross benefits plus risk-reduction value,
 minus risk-increase costs and total cost of ownership — and derives NPV,
 IRR, payback, and the ROI ratio per iteration.  Summaries report the 10th,
 50th, and 90th percentiles alongside mean and standard error.
+
+Each metric function takes one iteration's flows, or an iterations x
+years array and then returns one value per row.  The one-row body is the
+reference: the array code repeats its float operations in the same order
+(sequential products and sums by ``accumulate``, per-row ``math.fsum``),
+so both give the same bits.
 """
 
 from __future__ import annotations
@@ -12,7 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .engine import SampleSummary, summarize
+import numpy as np
+
+from .engine import SampleSummary, SimulationResult, fsum_rows, summarize
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import IterationOutcome, IterationRow
@@ -28,8 +36,14 @@ REPORT_METRICS = (
     "risk_delta",
 )
 
+# Metrics that can be undefined for an iteration (None on one row).
+OPTIONAL_METRICS = ("roi_ratio", "irr", "payback_years")
+
 _IRR_BRACKET = (-0.999, 10.0)
 _IRR_GRID_POINTS = 512
+_BISECT_STEPS = 200
+# Iteration-years valued at once by evaluate_outcome on a SimulationResult.
+_SLICE_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -54,6 +68,52 @@ class ValuationOutcome:
     irr_multiple_roots_possible: bool = False
 
 
+@dataclass(frozen=True, eq=False)
+class ValuationColumns:
+    """A run's valuation as columns: entry ``r`` of each array is iteration ``r``.
+
+    ``defined`` holds a mask for each of ``OPTIONAL_METRICS``; an entry
+    the one-row call leaves undefined (None) is nan there and False in
+    its mask.  A nan or inf that a defined entry reaches by overflow stays
+    a value, as on one row.
+    """
+
+    net_risk_adjusted_benefit: np.ndarray
+    roi_ratio: np.ndarray
+    npv: np.ndarray
+    irr: np.ndarray
+    payback_years: np.ndarray
+    risk_delta: np.ndarray
+    irr_multiple_roots_possible: np.ndarray
+    defined: dict[str, np.ndarray]
+
+    @classmethod
+    def from_outcomes(cls, outcomes: Sequence[ValuationOutcome]) -> "ValuationColumns":
+        def column(name: str) -> np.ndarray:
+            values = (getattr(o, name) for o in outcomes)
+            return np.array([math.nan if v is None else v for v in values], dtype=float)
+
+        return cls(
+            **{name: column(name) for name in REPORT_METRICS},
+            irr_multiple_roots_possible=np.array(
+                [o.irr_multiple_roots_possible for o in outcomes], dtype=bool
+            ),
+            defined={
+                name: np.array([getattr(o, name) is not None for o in outcomes], dtype=bool)
+                for name in OPTIONAL_METRICS
+            },
+        )
+
+    def __len__(self) -> int:
+        return self.npv.shape[0]
+
+    def values(self, name: str) -> np.ndarray:
+        """The defined values of metric ``name``, in iteration order."""
+        column = getattr(self, name)
+        mask = self.defined.get(name)
+        return column if mask is None else column[mask]
+
+
 @dataclass(frozen=True)
 class ValuationReport:
     n: int
@@ -67,18 +127,39 @@ def risk_adjusted_net(
 ) -> float:
     """Net value: gross + risk reduction - risk increase - total cost.
 
-    The signed risk delta must be split into its nonnegative sides before
-    entering here.
+    Takes floats or equal-length columns.  The signed risk delta must be
+    split into its nonnegative sides before entering here.
     """
-    if risk_reduction < 0:
-        raise ValueError(f"risk_reduction must be >= 0, got {risk_reduction}")
-    if risk_increase < 0:
-        raise ValueError(f"risk_increase must be >= 0, got {risk_increase}")
+    for name, side in (("risk_reduction", risk_reduction), ("risk_increase", risk_increase)):
+        if isinstance(side, np.ndarray):  # its lowest negative entry, else 0.0
+            side = side[side < 0].min(initial=0.0)
+        if side < 0:
+            raise ValueError(f"{name} must be >= 0, got {side}")
     return gross + risk_reduction - risk_increase - tco_total
 
 
-def npv(cashflows: Sequence[float], rate: float) -> float:
+def _is_block(cashflows) -> bool:
+    return isinstance(cashflows, np.ndarray) and cashflows.ndim == 2
+
+
+def _quiet() -> np.errstate:
+    """An inf or nan reached by overflow is a value, as on one row: no warning."""
+    return np.errstate(divide="ignore", over="ignore", invalid="ignore")
+
+
+def _discounts(factors: np.ndarray, horizon: int) -> np.ndarray:
+    """Years x factors: the discounts 1, f, f*f, ... as the one-row loop multiplies them."""
+    steps = np.empty((horizon, factors.shape[0]))
+    steps[0] = 1.0
+    steps[1:] = factors
+    return np.multiply.accumulate(steps, axis=0)
+
+
+def npv(cashflows: Sequence[float] | np.ndarray, rate: float) -> float | np.ndarray:
     """Present value of year-indexed flows; year 0 is undiscounted."""
+    if _is_block(cashflows):
+        with _quiet():
+            return _npv_rows(cashflows, rate)
     if not cashflows:
         raise ValueError("cashflows must be nonempty")
     if rate <= -1.0:
@@ -92,7 +173,18 @@ def npv(cashflows: Sequence[float], rate: float) -> float:
     return math.fsum(terms)
 
 
-def irr(cashflows: Sequence[float]) -> float | None:
+def _npv_rows(flows: np.ndarray, rate: float) -> np.ndarray:
+    if flows.shape[1] == 0:
+        raise ValueError("cashflows must be nonempty")
+    if rate <= -1.0:
+        raise ValueError(f"rate must exceed -1, got {rate}")
+    discount = _discounts(np.array([1.0 + rate]), flows.shape[1])[:, 0]
+    if not discount.all():  # the one-row loop divides by the zero
+        raise ZeroDivisionError("float division by zero")
+    return fsum_rows(flows / discount)
+
+
+def irr(cashflows: Sequence[float] | np.ndarray) -> float | None | np.ndarray:
     """Discount rate at which NPV crosses zero, or None when no root exists.
 
     Runs a bracketed bisection over (-0.999, 10.0] and returns the smallest
@@ -106,7 +198,12 @@ def irr(cashflows: Sequence[float]) -> float | None:
     sum is nan.  There the NPV counts as an infinity with the sign of
     NPV * (1 + rate)**T, T the last year, which is finite; so any horizon
     of finite flows gives a root or None, never an error.
+
+    On an iterations x years array, the root of each row, nan for None.
     """
+    if _is_block(cashflows):
+        with _quiet():
+            return _irr_rows(cashflows)
     if not cashflows:
         raise ValueError("cashflows must be nonempty")
     changes = cashflow_sign_changes(cashflows)
@@ -161,7 +258,7 @@ def irr(cashflows: Sequence[float]) -> float | None:
 
 
 def _bisect(f, lo: float, hi: float, f_lo: float, tolerance: float) -> float:
-    for _ in range(200):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
@@ -175,18 +272,129 @@ def _bisect(f, lo: float, hi: float, f_lo: float, tolerance: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def cashflow_sign_changes(cashflows: Sequence[float]) -> int:
-    """Number of sign alternations among nonzero flows (possible IRR roots)."""
+def _npv_at(years: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """The one-row ``irr``'s f on each column of years x rows flows, at its own rate."""
+    factors = 1.0 + rates
+    discount = _discounts(factors, years.shape[0])
+    # A sequential sum, as on one row (numpy's pairwise sum rounds
+    # differently).  It may end at -0.0 where one row ends at 0.0, which
+    # no comparison of f tells apart.
+    total = np.add.accumulate(years / discount, axis=0)[-1]
+    # Once a discount underflows to 0 it stays 0, so the last one tells.
+    fallback = np.flatnonzero(np.isnan(total) | (discount[-1] == 0))
+    if fallback.size:
+        factors = factors[fallback]
+        scaled = np.zeros(fallback.size)
+        for cf in years[:, fallback]:
+            scaled = scaled * factors + cf
+        total[fallback] = np.where(scaled != 0, np.copysign(np.inf, scaled), 0.0)
+    return total
+
+
+def _irr_rows(flows: np.ndarray) -> np.ndarray:
+    """``irr`` of every row: one lockstep bisection over all bracketed rows.
+
+    Rows with several sign changes first scan the grid together, each row
+    dropping out at its first sign change of f, so scratch memory stays
+    one array of the rows still scanning.
+    """
+    if flows.shape[1] == 0:
+        raise ValueError("cashflows must be nonempty")
+    roots = np.full(flows.shape[0], math.nan)
+    changes = cashflow_sign_changes(flows)
+    rows = np.flatnonzero(changes)
+    flows, changes = flows[rows], changes[rows]
+    scaled = 1e-9 * fsum_rows(np.abs(flows))
+    tolerance = np.where(scaled > 1e-6, scaled, 1e-6)  # max(1e-6, scaled), nan included
+    years = np.ascontiguousarray(flows.T)
+    lo, hi = _IRR_BRACKET
+    f_lo = _npv_at(years, np.full(rows.size, lo))
+    brackets = []  # (positions into rows, lower ends, upper ends, f at the lower ends)
+
+    single = np.flatnonzero(changes == 1)
+    roots[rows[single[f_lo[single] == 0.0]]] = lo
+    single = single[f_lo[single] != 0.0]
+    f_hi = _npv_at(years[:, single], np.full(single.size, hi))
+    single = single[~(f_lo[single] * f_hi > 0)]
+    brackets.append((single, np.full(single.size, lo), np.full(single.size, hi), f_lo[single]))
+
+    scanning = np.flatnonzero(changes > 1)
+    f_prev = f_lo[scanning]
+    step = (hi - lo) / _IRR_GRID_POINTS
+    x_prev = lo
+    for i in range(1, _IRR_GRID_POINTS + 1):
+        if not scanning.size:
+            break
+        x = lo + i * step
+        fx = _npv_at(years[:, scanning], np.full(scanning.size, x))
+        zero = f_prev == 0.0
+        roots[rows[scanning[zero]]] = x_prev
+        crossed = ~zero & (f_prev * fx < 0)
+        count = int(crossed.sum())
+        brackets.append(
+            (scanning[crossed], np.full(count, x_prev), np.full(count, x), f_prev[crossed])
+        )
+        going = ~(zero | crossed)
+        scanning, f_prev, x_prev = scanning[going], fx[going], x
+    roots[rows[scanning[f_prev == 0.0]]] = x_prev
+
+    at, lows, highs, f_lows = (np.concatenate(parts) for parts in zip(*brackets))
+    roots[rows[at]] = _bisect_rows(years[:, at], lows, highs, f_lows, tolerance[at])
+    return roots
+
+
+def _bisect_rows(
+    years: np.ndarray, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, tolerance: np.ndarray
+) -> np.ndarray:
+    """``_bisect`` on every column of years x rows flows at once; each stops at its own step."""
+    roots = np.empty(lo.size)
+    at = np.arange(lo.size)
+    for _ in range(_BISECT_STEPS):
+        if not at.size:
+            return roots
+        mid = 0.5 * (lo + hi)
+        f_mid = _npv_at(years, mid)
+        done = (mid == lo) | (mid == hi) | ((np.abs(f_mid) <= tolerance) & (hi - lo <= 1e-10))
+        lower = f_lo * f_mid <= 0
+        hi = np.where(lower, mid, hi)
+        lo, f_lo = np.where(lower, lo, mid), np.where(lower, f_lo, f_mid)
+        if done.any():
+            roots[at[done]] = mid[done]
+            going = ~done
+            years = years[:, going]
+            at, lo, hi, f_lo, tolerance = (
+                array[going] for array in (at, lo, hi, f_lo, tolerance)
+            )
+    roots[at] = 0.5 * (lo + hi)
+    return roots
+
+
+def cashflow_sign_changes(cashflows: Sequence[float] | np.ndarray) -> int | np.ndarray:
+    """Number of sign alternations among nonzero flows (possible IRR roots).
+
+    On an iterations x years array, the count of each row.
+    """
+    if _is_block(cashflows):
+        signs = np.where(cashflows > 0, 1, np.where(cashflows != 0, -1, 0)).astype(np.int8)
+        # Each year carries the sign of the row's last nonzero flow so far.
+        years = np.arange(cashflows.shape[1])
+        last = np.maximum.accumulate(np.where(signs != 0, years, 0), axis=1)
+        carried = np.take_along_axis(signs, last, axis=1)
+        return ((carried[:, 1:] != carried[:, :-1]) & (carried[:, :-1] != 0)).sum(axis=1)
     signs = [1 if cf > 0 else -1 for cf in cashflows if cf != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def payback_period(cashflows: Sequence[float]) -> float | None:
+def payback_period(cashflows: Sequence[float] | np.ndarray) -> float | None | np.ndarray:
     """First time the cumulative flow reaches zero, interpolated within the year.
 
     Year-t flows accrue uniformly across (t-1, t].  Returns None when the
-    cumulative sum never recovers inside the horizon.
+    cumulative sum never recovers inside the horizon.  On an iterations x
+    years array, the payback of each row, nan for None.
     """
+    if _is_block(cashflows):
+        with _quiet():
+            return _payback_rows(cashflows)
     if not cashflows:
         raise ValueError("cashflows must be nonempty")
     cumulative = 0.0
@@ -200,15 +408,34 @@ def payback_period(cashflows: Sequence[float]) -> float | None:
     return None
 
 
+def _payback_rows(flows: np.ndarray) -> np.ndarray:
+    if flows.shape[1] == 0:
+        raise ValueError("cashflows must be nonempty")
+    cumulative = np.add.accumulate(flows, axis=1)
+    recovered = cumulative >= 0
+    rows = np.flatnonzero(recovered.any(axis=1))
+    years = recovered[rows].argmax(axis=1)
+    paybacks = np.full(flows.shape[0], math.nan)
+    paybacks[rows] = years
+    # Past year 0 the previous cumulative sum is negative: interpolate.
+    rows, years = rows[years > 0], years[years > 0]
+    previous = cumulative[rows, years - 1]
+    paybacks[rows] = (years - 1) + (-previous) / flows[rows, years]
+    return paybacks
+
+
 def evaluate_outcome(
-    outcome: "IterationOutcome | IterationRow", discount: DiscountSpec
-) -> ValuationOutcome:
+    outcome: "IterationOutcome | IterationRow | SimulationResult", discount: DiscountSpec
+) -> "ValuationOutcome | ValuationColumns":
     """Financial metrics for one iteration, from its outcome or its row.
 
     NPV and the ROI denominator use the amortized cost schedule; IRR and
     payback run on cash-basis flows, since both measure recovery of actual
-    outlays.
+    outlays.  On a SimulationResult, the metrics of every iteration as
+    columns.
     """
+    if isinstance(outcome, SimulationResult):
+        return _evaluate_columns(outcome, discount)
     net = risk_adjusted_net(
         outcome.gross_benefits,
         outcome.risk_reduction,
@@ -228,15 +455,78 @@ def evaluate_outcome(
     )
 
 
-def build_report(outcomes: Sequence[ValuationOutcome]) -> ValuationReport:
-    """Percentile summaries per metric, excluding undefined values with counts."""
-    if not outcomes:
+def _evaluate_columns(result: SimulationResult, discount: DiscountSpec) -> ValuationColumns:
+    """The one-row metrics of every iteration, in the one-row order, as columns.
+
+    Every step works row by row, so the run is valued in slices of at most
+    ``_SLICE_CELLS`` iteration-years: scratch memory stays bounded on a
+    long horizon and the columns keep the bits of one call over all rows.
+    """
+    rows = max(1, _SLICE_CELLS // result.tco_per_year.shape[1])
+    parts = [
+        _evaluate_slice(result, slice(start, start + rows), discount)
+        for start in range(0, len(result), rows)
+    ]
+    arrays = (*REPORT_METRICS, "irr_multiple_roots_possible")
+    return ValuationColumns(
+        **{name: np.concatenate([getattr(p, name) for p in parts]) for name in arrays},
+        defined={
+            name: np.concatenate([p.defined[name] for p in parts]) for name in OPTIONAL_METRICS
+        },
+    )
+
+
+def _evaluate_slice(
+    result: SimulationResult, rows: slice, discount: DiscountSpec
+) -> ValuationColumns:
+    rate = discount.annual_rate
+    cash_basis = result.cash_basis_flows[rows]
+    with _quiet():
+        net = risk_adjusted_net(
+            result.gross_benefits[rows],
+            result.risk_reduction[rows],
+            result.risk_increase[rows],
+            result.tco_total[rows],
+        )
+        discounted_tco = npv(result.tco_per_year[rows], rate)
+        roi_defined = discounted_tco != 0
+        roi_ratio = np.full(net.shape[0], math.nan)
+        roi_ratio[roi_defined] = net[roi_defined] / discounted_tco[roi_defined]
+    net_present_value = npv(result.cash_flows[rows], rate)
+    # Neither is nan where it is defined.
+    irr_values = irr(cash_basis)
+    paybacks = payback_period(cash_basis)
+    return ValuationColumns(
+        net_risk_adjusted_benefit=net,
+        roi_ratio=roi_ratio,
+        npv=net_present_value,
+        irr=irr_values,
+        payback_years=paybacks,
+        risk_delta=result.risk_delta[rows],
+        irr_multiple_roots_possible=cashflow_sign_changes(cash_basis) > 1,
+        defined={
+            "roi_ratio": roi_defined,
+            "irr": ~np.isnan(irr_values),
+            "payback_years": ~np.isnan(paybacks),
+        },
+    )
+
+
+def build_report(outcomes: "ValuationColumns | Sequence[ValuationOutcome]") -> ValuationReport:
+    """Percentile summaries per metric, excluding undefined values with counts.
+
+    Takes a run's columns, as ``evaluate_outcome`` returns them for a
+    SimulationResult, or one ValuationOutcome per iteration.
+    """
+    if not len(outcomes):
         raise ValueError("cannot build a report from zero outcomes")
+    if not isinstance(outcomes, ValuationColumns):
+        outcomes = ValuationColumns.from_outcomes(outcomes)
     n = len(outcomes)
     metrics: dict[str, SampleSummary] = {}
     exclusions: dict[str, int] = {}
     for name in REPORT_METRICS:
-        values = [v for v in (getattr(o, name) for o in outcomes) if v is not None]
+        values = outcomes.values(name).tolist()
         excluded = n - len(values)
         if excluded:
             exclusions[name] = excluded
@@ -246,7 +536,5 @@ def build_report(outcomes: Sequence[ValuationOutcome]) -> ValuationReport:
         n=n,
         metrics=metrics,
         exclusions=exclusions,
-        irr_multiple_root_iterations=sum(
-            1 for o in outcomes if o.irr_multiple_roots_possible
-        ),
+        irr_multiple_root_iterations=int(outcomes.irr_multiple_roots_possible.sum()),
     )

@@ -66,6 +66,18 @@ def test_validate_warns_without_failing(tmp_path, capsys):
     assert "0.15-0.25" in err
 
 
+def test_negative_turnover_is_one_penalties_error(tmp_path, capsys, reference_config_path):
+    # The turnover is checked once, where it is read, whatever the entries.
+    data = json.loads(reference_config_path.read_text())
+    data["penalties"]["global_turnover"] = -1
+    for scenarios in (data["penalties"]["scenarios"], []):
+        data["penalties"]["scenarios"] = scenarios
+        path = write_config(tmp_path, data)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == "error: penalties: global_turnover must be >= 0, got -1.0\n"
+
+
 def test_validate_unreadable_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "validate", str(tmp_path / "missing.json"))
     assert code == EXIT_VALIDATION
@@ -632,14 +644,42 @@ def test_infinite_report_value_is_one_error_line(tmp_path, capsys):
     data = minimal_config()
     data["risks"][0]["sle"] = {"kind": "lognormal", "median": 1e300, "sigma": 30}
     path = str(write_config(tmp_path, data))
+    # An overflowed nan or inf is a value, never an undefined iteration.
     for command, message in (
-        ("evaluate", "Out of range float"),
-        ("delta", "scenario ALE totals are not finite: (inf, 0.0, inf)"),
+        (("evaluate",), "Out of range float"),
+        (("delta",), "scenario ALE totals are not finite: (inf, 0.0, inf)"),
+        (("simulate", "--iterations", "50"), "intermediate overflow in fsum"),
+        (
+            ("plotdata", "--metric", "roi_ratio", "--iterations", "50"),
+            "metric 'roi_ratio' or its span leaves the float range",
+        ),
     ):
-        code, out, err = run_cli(capsys, command, path)
+        code, out, err = run_cli(capsys, command[0], path, *command[1:])
         assert (code, out) == (EXIT_VALIDATION, ""), command
         assert err.startswith("error: a result is outside the float range: " + message)
         assert err.count("\n") == 1
+
+
+def test_plotdata_span_beyond_the_float_range_is_one_error_line(tmp_path, capsys):
+    # Finite risk deltas near +-1.7e308, one year: their span overflows.
+    data = minimal_config(horizon_years=1)
+    data["costs"]["capex"][0]["useful_life_years"] = 1
+    data["costs"]["opex"][0]["end_year"] = 0
+    sle = {"kind": "uniform", "lo": 0, "hi": 1.7e308}
+    frequency = {"kind": "point", "rate": 0.5}
+    data["risks"] = [
+        {"id": side, "applies_to": applies, "sle": sle, "frequency": frequency}
+        for side, applies in (("down", "current_only"), ("up", "ai_only"))
+    ]
+    path = str(write_config(tmp_path, data))
+    code, out, err = run_cli(
+        capsys, "plotdata", path, "--metric", "risk_delta", "--iterations", "200"
+    )
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == (
+        "error: a result is outside the float range: "
+        "metric 'risk_delta' or its span leaves the float range\n"
+    )
 
 
 _MUTATION_VALUES = ("x", [], {}, None, True, -1, 0, 1e308, 2**64)
