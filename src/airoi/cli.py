@@ -284,6 +284,14 @@ def cmd_simulate(args) -> int:
     report = valuation_mod.build_report(valuations)
     elapsed = time.perf_counter() - started
 
+    # Hashing rejects a value JSON cannot hold, so it runs before any file is written.
+    body = _simulation_body(config, sim, report, executed_iterations=len(result))
+    envelope = {
+        "body": body,
+        "body_sha256": _body_hash(body),
+        "timing": {"elapsed_seconds": elapsed},
+        "worker_count": sim.worker_count if sim.worker_count is not None else "auto",
+    }
     if args.dump_iterations:
         status = _write_csv(_dump_rows(result, valuations), args.dump_iterations)
         if status != EXIT_OK:
@@ -292,14 +300,6 @@ def cmd_simulate(args) -> int:
         status = _write_csv(_metric_csv_rows(report), args.metrics_csv)
         if status != EXIT_OK:
             return status
-
-    body = _simulation_body(config, sim, report, executed_iterations=len(result))
-    envelope = {
-        "body": body,
-        "body_sha256": _body_hash(body),
-        "timing": {"elapsed_seconds": elapsed},
-        "worker_count": sim.worker_count if sim.worker_count is not None else "auto",
-    }
     return _write_text(json.dumps(envelope, indent=2, sort_keys=True) + "\n", args.out)
 
 
@@ -519,29 +519,29 @@ def cmd_plotdata(args) -> int:
     if not defined.size:
         print(f"error: metric {metric!r} is undefined for every iteration", file=sys.stderr)
         return EXIT_VALIDATION
-    values = sorted(defined.tolist())
-    low, high = values[0], values[-1]
-    # The bin width needs finite values whose span is finite too.
-    if not (np.isfinite(defined).all() and np.isfinite(high - low)):
+    # Stable, so the extremes keep the sign of a zero as sorted() gives it.
+    ordered = np.sort(defined, kind="stable")
+    low, high = ordered[[0, -1]].tolist()
+    width = (high - low) / _PLOT_BINS
+    # The bins need finite values, a finite span and, unless every value is
+    # the same, a width that does not round to 0.
+    if not (np.isfinite(ordered).all() and np.isfinite(width) and (width > 0 or low == high)):
         raise ValueError(f"metric {metric!r} or its span leaves the float range")
 
+    n = len(ordered)
     rows = [["kind", "x0", "x1", "value"]]
     if low == high:
-        rows.append(["bin", f"{low!r}", f"{high!r}", len(values)])
+        rows.append(["bin", f"{low!r}", f"{high!r}", n])
         rows.append(["cdf", f"{high!r}", "", 1.0])
     else:
-        width = (high - low) / _PLOT_BINS
         edges = [low + i * width for i in range(_PLOT_BINS)] + [high]
-        counts = [0] * _PLOT_BINS
-        for value in values:
-            slot = min(int((value - low) / width), _PLOT_BINS - 1)
-            counts[slot] += 1
-        for i in range(_PLOT_BINS):
-            rows.append(["bin", f"{edges[i]!r}", f"{edges[i + 1]!r}", counts[i]])
-        cumulative = 0
-        for i in range(_PLOT_BINS):
-            cumulative += counts[i]
-            rows.append(["cdf", f"{edges[i + 1]!r}", "", cumulative / len(values)])
+        slots = np.minimum(((ordered - low) / width).astype(np.int64), _PLOT_BINS - 1)
+        counts = np.bincount(slots, minlength=_PLOT_BINS)
+        shares = np.cumsum(counts) / n
+        for x0, x1, count in zip(edges, edges[1:], counts.tolist()):
+            rows.append(["bin", f"{x0!r}", f"{x1!r}", count])
+        for x1, share in zip(edges[1:], shares.tolist()):
+            rows.append(["cdf", f"{x1!r}", "", share])
     return _write_csv(rows, args.out)
 
 

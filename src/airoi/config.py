@@ -525,16 +525,26 @@ def parse_config(
     return config, collector.diagnostics
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict; RFC 8259 leaves a repeated key's meaning to the reader."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def _read_json(path: Path, what: str, collector: _Collector) -> tuple[bytes, Any] | None:
     """The file's bytes and its JSON value, or None after reporting why not."""
     try:
         raw = path.read_bytes()
-        return raw, json.loads(raw.decode("utf-8"))
+        return raw, json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         collector.error(str(path), f"cannot read {what}: {exc}")
     except json.JSONDecodeError as exc:
         collector.error(f"{path}:{exc.lineno}:{exc.colno}", f"invalid JSON: {exc}")
-    except UnicodeDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or a repeated key
         collector.error(str(path), f"invalid JSON: {exc}")
     return None
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import os
-from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,10 +49,9 @@ ENGINE_METRICS = (
     "risk_delta",
 )
 
-# One iteration's engine metrics and per-year rows, as SimulationResult.iter_rows reads them.
-IterationRow = namedtuple(
-    "IterationRow", ENGINE_METRICS + ("cash_flows", "cash_basis_flows", "tco_per_year")
-)
+# The per-iteration arrays of a SimulationResult, in IterationOutcome order:
+# the engine metrics, then the per-year rows.
+_ROW_FIELDS = ENGINE_METRICS + ("cash_flows", "cash_basis_flows", "tco_per_year")
 
 _EARLY_STOP_BLOCK = 1000
 # Most iterations one run may ask for.
@@ -157,9 +155,7 @@ class SimulationResult:
 
         first = parts[0]
         return cls(
-            **{
-                name: stack(getattr(part, name) for part in parts) for name in IterationRow._fields
-            },
+            **{name: stack(getattr(part, name) for part in parts) for name in _ROW_FIELDS},
             benefit_values={
                 key: stack(part.benefit_values[key] for part in parts)
                 for key in first.benefit_values
@@ -176,20 +172,10 @@ class SimulationResult:
     def __len__(self) -> int:
         return self.gross_benefits.shape[0]
 
-    def iter_rows(self) -> Iterator[IterationRow]:
-        """One :class:`IterationRow` of Python floats per iteration, in order.
-
-        Rows are read one kernel block at a time, so a caller that consumes
-        them in turn never holds them all.
-        """
-        arrays = [getattr(self, name) for name in IterationRow._fields]
-        for start in range(0, len(self), _KERNEL_BLOCK):
-            part = [array[start : start + _KERNEL_BLOCK].tolist() for array in arrays]
-            yield from map(IterationRow._make, zip(*part))
-
     @cached_property
     def outcomes(self) -> list[IterationOutcome]:
         """One :class:`IterationOutcome` per row, in iteration order."""
+        columns = [getattr(self, name).tolist() for name in _ROW_FIELDS]
         benefits = {key: values.tolist() for key, values in self.benefit_values.items()}
         costs = {key: values.tolist() for key, values in self.cost_values.items()}
         losses = {
@@ -205,7 +191,7 @@ class SimulationResult:
                 cost_values={key: values[i] for key, values in costs.items()},
                 scenario_losses={key: values[i] for key, values in losses.items()},
             )
-            for i, row in enumerate(self.iter_rows())
+            for i, row in enumerate(zip(*columns))
         ]
 
 
@@ -617,12 +603,15 @@ def standard_error(samples: Sequence[float]) -> float:
     return math.sqrt(variance) / math.sqrt(n)
 
 
-def summarize(values: Sequence[float]) -> SampleSummary:
+def summarize(values: np.ndarray | Sequence[float]) -> SampleSummary:
     """Percentile summary of one metric's samples."""
-    if not values:
-        raise ValueError("cannot summarize zero samples")
-    ordered = sorted(values)
+    # A stable sort keeps ties, -0.0 and 0.0 among them, in input order as
+    # sorted() does.  Python floats keep standard_error's squares CPython's:
+    # numpy's array x ** 2 can differ in the last bit.
+    ordered = np.sort(np.asarray(values, dtype=float), kind="stable").tolist()
     n = len(ordered)
+    if n == 0:
+        raise ValueError("cannot summarize zero samples")
     return SampleSummary(
         n=n,
         mean=math.fsum(ordered) / n,

@@ -23,7 +23,7 @@ import numpy as np
 from .engine import SampleSummary, SimulationResult, fsum_rows, summarize
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .engine import IterationOutcome, IterationRow
+    from .engine import IterationOutcome
 
 # Metrics whose defined values feed each summary; IRR, payback, and the ROI
 # ratio can be undefined for an iteration and are excluded with a count.
@@ -425,9 +425,9 @@ def _payback_rows(flows: np.ndarray) -> np.ndarray:
 
 
 def evaluate_outcome(
-    outcome: "IterationOutcome | IterationRow | SimulationResult", discount: DiscountSpec
+    outcome: "IterationOutcome | SimulationResult", discount: DiscountSpec
 ) -> "ValuationOutcome | ValuationColumns":
-    """Financial metrics for one iteration, from its outcome or its row.
+    """Financial metrics for one iteration, from its outcome.
 
     NPV and the ROI denominator use the amortized cost schedule; IRR and
     payback run on cash-basis flows, since both measure recovery of actual
@@ -526,11 +526,11 @@ def build_report(outcomes: "ValuationColumns | Sequence[ValuationOutcome]") -> V
     metrics: dict[str, SampleSummary] = {}
     exclusions: dict[str, int] = {}
     for name in REPORT_METRICS:
-        values = outcomes.values(name).tolist()
+        values = outcomes.values(name)
         excluded = n - len(values)
         if excluded:
             exclusions[name] = excluded
-        if values:
+        if len(values):
             metrics[name] = summarize(values)
     return ValuationReport(
         n=n,

@@ -12,7 +12,7 @@ from airoi.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from airoi.config import load_config
 from airoi.costs import tco_pair
 from airoi.engine import MAX_ITERATIONS, run_simulation
-from airoi.valuation import DiscountSpec, evaluate_outcome
+from airoi.valuation import REPORT_METRICS, DiscountSpec, evaluate_outcome
 from conftest import minimal_config, write_config
 
 
@@ -81,6 +81,28 @@ def test_negative_turnover_is_one_penalties_error(tmp_path, capsys, reference_co
 def test_validate_unreadable_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "validate", str(tmp_path / "missing.json"))
     assert code == EXIT_VALIDATION
+
+
+def test_duplicated_config_key_is_one_error(tmp_path, capsys, reference_config_path):
+    # RFC 8259 leaves a repeated name to the reader; json keeps the last one.
+    text = reference_config_path.read_text().replace(
+        '"discount_rate": 0.08', '"discount_rate": 0.5, "discount_rate": 0.08'
+    )
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == f"error: {path}: invalid JSON: duplicate key 'discount_rate'\n"
+
+
+def test_integer_past_the_digit_limit_is_invalid_json(tmp_path, capsys):
+    # json refuses to convert an integer literal of more than 4300 digits.
+    path = tmp_path / "config.json"
+    path.write_text('{"schema_version": ' + "1" * 5000 + "}")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith(f"error: {path}: invalid JSON: Exceeds the limit")
+    assert err.count("\n") == 1
 
 
 # -- evaluate ---------------------------------------------------------------------
@@ -204,6 +226,27 @@ def test_simulate_dump_iterations(tmp_path, capsys):
                 v.payback_years,
             )
         ]
+
+
+def test_simulate_that_exits_two_writes_no_file(tmp_path, capsys):
+    # Losses past the float range on both sides: each risk delta is
+    # inf - inf = nan, which the JSON report cannot hold.
+    data = minimal_config()
+    sle = {"kind": "uniform", "lo": 1.5e308, "hi": 1.7e308}
+    frequency = {"kind": "point", "rate": 2}
+    data["risks"] = [
+        {"id": side, "applies_to": applies, "sle": sle, "frequency": frequency}
+        for side, applies in (("down", "current_only"), ("up", "ai_only"))
+    ]
+    path = str(write_config(tmp_path, data))
+    metrics, dump, out_path = (tmp_path / name for name in ("m.csv", "d.csv", "o.json"))
+    code, out, err = run_cli(
+        capsys, "simulate", path, "--iterations", "20", "--metrics-csv", str(metrics),
+        "--dump-iterations", str(dump), "--out", str(out_path),
+    )
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith("error: a result is outside the float range: Out of range float")
+    assert [p for p in (metrics, dump, out_path) if p.exists()] == []
 
 
 def test_simulate_out_file_and_io_failure(tmp_path, capsys):
@@ -510,6 +553,13 @@ def test_track_text_actual_is_a_diagnostic(tmp_path, capsys):
     )
 
 
+def test_track_duplicated_actuals_key_is_one_error(tmp_path, capsys):
+    actuals = b'{"records": [{"period": {"year": 1, "quarter": 1, "quarter": 2}}]}'
+    code, out, err = run_track(tmp_path, capsys, actuals)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == f"error: {tmp_path / 'actuals.json'}: invalid JSON: duplicate key 'quarter'\n"
+
+
 def test_track_actuals_not_utf8_is_a_diagnostic(tmp_path, capsys):
     code, out, err = run_track(tmp_path, capsys, b'{"records": "\xff"}')
     assert (code, out) == (EXIT_VALIDATION, "")
@@ -588,6 +638,35 @@ def test_plotdata_counts_conserved_and_cdf_reaches_one(tmp_path, capsys):
     assert float(cdf[-1][3]) == 1.0
 
 
+def test_plotdata_matches_a_python_histogram(capsys, reference_config_path):
+    # Every metric's CSV against bins and CDF written out here, one value at a time.
+    argv = ("--iterations", "2000", "--seed", "42", "--workers", "1")
+    config, _ = load_config(reference_config_path)
+    sim = dataclasses.replace(config.simulation, iterations=2000, master_seed=42)
+    discount = DiscountSpec(config.portfolio.discount_rate)
+    valuations = evaluate_outcome(run_simulation(config.portfolio, sim), discount)
+    for metric in REPORT_METRICS:
+        values = sorted(valuations.values(metric).tolist())
+        low, high = values[0], values[-1]
+        width = (high - low) / 50
+        edges = [low + i * width for i in range(50)] + [high]
+        counts = [0] * 50
+        for value in values:
+            counts[min(int((value - low) / width), 49)] += 1
+        expected = [["kind", "x0", "x1", "value"]]
+        for i in range(50):
+            expected.append(["bin", repr(edges[i]), repr(edges[i + 1]), str(counts[i])])
+        cumulative = 0
+        for i in range(50):
+            cumulative += counts[i]
+            expected.append(["cdf", repr(edges[i + 1]), "", str(cumulative / len(values))])
+        code, out, _ = run_cli(
+            capsys, "plotdata", str(reference_config_path), "--metric", metric, *argv
+        )
+        assert code == EXIT_OK
+        assert parse_csv(out) == expected, metric
+
+
 def test_plotdata_unknown_metric_lists_valid_names(tmp_path, capsys):
     path = write_config(tmp_path, minimal_config())
     code, _, err = run_cli(capsys, "plotdata", str(path), "--metric", "sharpe")
@@ -661,25 +740,26 @@ def test_infinite_report_value_is_one_error_line(tmp_path, capsys):
 
 
 def test_plotdata_span_beyond_the_float_range_is_one_error_line(tmp_path, capsys):
-    # Finite risk deltas near +-1.7e308, one year: their span overflows.
+    # One year of risk deltas. Finite values near +-1.7e308: their span
+    # overflows. Values 0 and +-4e-323: a fiftieth of their span rounds to 0.
     data = minimal_config(horizon_years=1)
     data["costs"]["capex"][0]["useful_life_years"] = 1
     data["costs"]["opex"][0]["end_year"] = 0
-    sle = {"kind": "uniform", "lo": 0, "hi": 1.7e308}
     frequency = {"kind": "point", "rate": 0.5}
-    data["risks"] = [
-        {"id": side, "applies_to": applies, "sle": sle, "frequency": frequency}
-        for side, applies in (("down", "current_only"), ("up", "ai_only"))
-    ]
-    path = str(write_config(tmp_path, data))
-    code, out, err = run_cli(
-        capsys, "plotdata", path, "--metric", "risk_delta", "--iterations", "200"
-    )
-    assert (code, out) == (EXIT_VALIDATION, "")
-    assert err == (
-        "error: a result is outside the float range: "
-        "metric 'risk_delta' or its span leaves the float range\n"
-    )
+    for sle in ({"kind": "uniform", "lo": 0, "hi": 1.7e308}, {"kind": "point", "value": 4e-323}):
+        data["risks"] = [
+            {"id": side, "applies_to": applies, "sle": sle, "frequency": frequency}
+            for side, applies in (("down", "current_only"), ("up", "ai_only"))
+        ]
+        path = str(write_config(tmp_path, data))
+        code, out, err = run_cli(
+            capsys, "plotdata", path, "--metric", "risk_delta", "--iterations", "200"
+        )
+        assert (code, out) == (EXIT_VALIDATION, ""), sle
+        assert err == (
+            "error: a result is outside the float range: "
+            "metric 'risk_delta' or its span leaves the float range\n"
+        )
 
 
 _MUTATION_VALUES = ("x", [], {}, None, True, -1, 0, 1e308, 2**64)

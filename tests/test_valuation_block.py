@@ -146,7 +146,7 @@ def test_evaluate_outcome_columns_match_rows_on_random_portfolios():
         portfolio = _random_portfolio(gen)
         result = run_simulation(portfolio, SimulationConfig(iterations=60, master_seed=5))
         discount = DiscountSpec(portfolio.discount_rate)
-        outcomes = [evaluate_outcome(row, discount) for row in result.iter_rows()]
+        outcomes = [evaluate_outcome(o, discount) for o in result.outcomes]
         columns = evaluate_outcome(result, discount)
         assert_columns_match(columns, outcomes)
         assert build_report(columns) == build_report(outcomes)
@@ -156,7 +156,7 @@ def test_evaluate_outcome_columns_match_rows_on_the_reference_run(
     reference_config, reference_simulation
 ):
     discount = DiscountSpec(reference_config.portfolio.discount_rate)
-    outcomes = [evaluate_outcome(row, discount) for row in reference_simulation.iter_rows()]
+    outcomes = [evaluate_outcome(o, discount) for o in reference_simulation.outcomes]
     columns = evaluate_outcome(reference_simulation, discount)
     assert_columns_match(columns, outcomes)
     assert columns.irr_multiple_roots_possible.any()
