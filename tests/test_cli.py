@@ -105,6 +105,53 @@ def test_integer_past_the_digit_limit_is_invalid_json(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_misspelled_keys_warn_and_leave_the_config_valid(tmp_path, capsys, reference_config_path):
+    # A key outside its record's table is read by nothing: one warning each,
+    # naming the nearest known key, and the config stays valid.
+    data = json.loads(reference_config_path.read_text())
+    data["bogus_top"] = 1
+    data["benefits"][0]["atribution_factor"] = 0.5
+    data["costs"]["rules"]["maintenence_rate"] = 0.25
+    data["risks"][0]["sle"]["sigmaa"] = 0.9
+    data["risks"][1]["frequency_currnet"] = 1.0
+    data["simulation"]["iteratons"] = 5
+    path = write_config(tmp_path, data)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (EXIT_OK, f"{path}: valid (6 warning(s))\n")
+    assert sorted(err.splitlines()) == sorted(
+        [
+            "warning: $: unknown field 'bogus_top'",
+            "warning: benefits[0] (claims-triage-automation): unknown field "
+            "'atribution_factor' (did you mean 'attribution_factor'?)",
+            "warning: costs.rules: unknown field 'maintenence_rate' "
+            "(did you mean 'maintenance_rate'?)",
+            "warning: risks[0] (fraudulent-claims).sle: unknown field 'sigmaa' "
+            "(did you mean 'sigma'?)",
+            "warning: risks[1] (manual-processing-errors): unknown field "
+            "'frequency_currnet' (did you mean 'frequency_current'?)",
+            "warning: simulation: unknown field 'iteratons' (did you mean 'iterations'?)",
+        ]
+    )
+
+
+def test_faults_in_the_header_and_the_sections_are_reported_in_one_pass(
+    tmp_path, capsys, reference_config_path
+):
+    data = json.loads(reference_config_path.read_text())
+    data["schema_version"] = 2
+    data["benefits"][0]["attribution_factor"] = "x"
+    data["costs"]["capex"][0]["useful_life_years"] = "x"
+    code, out, err = run_cli(capsys, "validate", str(write_config(tmp_path, data)))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.splitlines() == [
+        "error: $: unsupported schema_version 2; expected 1",
+        "error: benefits[0] (claims-triage-automation): "
+        "field 'attribution_factor' must be a finite number, got 'x'",
+        "error: costs.capex[0] (model-development): "
+        "field 'useful_life_years' must be an integer, got 'x'",
+    ]
+
+
 # -- evaluate ---------------------------------------------------------------------
 
 

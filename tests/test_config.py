@@ -445,3 +445,199 @@ def test_actuals_empty_records_rejected(tmp_path):
     records, diagnostics = load_actuals(path, config)
     assert records == []
     assert has_errors(diagnostics)
+
+
+# -- unknown fields ----------------------------------------------------------------------
+
+
+def full_config(tmp_path, reference_config_path):
+    """The reference portfolio plus every optional field, literal family and form."""
+    data = json.loads(reference_config_path.read_text())
+    arms = "arm,trials,successes\ntreatment,1000,120\ncontrol,1000,100\n"
+    (tmp_path / "arms.csv").write_text(arms)
+    data["benefits"] += [
+        {
+            "id": "direct-uplift",
+            "kind": "revenue_uplift",
+            "annual_value": {"kind": "uniform", "lo": 1000, "hi": 2000},
+        },
+        {
+            "id": "csv-uplift",
+            "kind": "revenue_uplift",
+            "projection_margin": 0.1,
+            "ab_test": {"csv": "arms.csv", "value_per_success": 10.0, "annual_volume": 1000},
+        },
+    ]
+    data["costs"]["capex"][1]["amount"] = {"kind": "point", "value": 250000}
+    data["costs"]["rules"]["reserve_carrying_rate"] = 0.0
+    data["risks"].append(
+        {
+            "id": "shared-outage",
+            "applies_to": "both",
+            "sle": 5000,
+            "frequency": {"kind": "point", "rate": 0.5},
+        }
+    )
+    data["simulation"]["target_relative_se"] = 0.01
+    return data
+
+
+def full_actuals():
+    return {
+        "records": [
+            {
+                "period": {"year": 1, "quarter": 2},
+                "benefits": {"claims-triage-automation": 142000.0},
+                "costs": {"inference-compute": 47000.0},
+                "losses": {"fraudulent-claims": {"events": 1, "total_loss": 65000.0}},
+            }
+        ]
+    }
+
+
+def key_paths(node, prefix=()):
+    """The path of every object key of a JSON document, except the item ids of actuals."""
+    if isinstance(node, dict):
+        # The keys of an actuals record's item maps are ids, not fields.
+        id_map = len(prefix) == 3 and prefix[0] == "records" and prefix[2] != "period"
+        for key, child in node.items():
+            if not id_map:
+                yield prefix + (key,)
+            yield from key_paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from key_paths(child, prefix + (index,))
+
+
+def misspelled(data, path):
+    """A copy of ``data`` with the key at ``path`` missing its middle letter."""
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    key = path[-1]
+    middle = len(key) // 2
+    typo = key[:middle] + key[middle + 1 :]
+    node[typo] = node.pop(key)
+    return data, typo
+
+
+def test_full_config_and_actuals_have_no_diagnostics(
+    tmp_path, reference_config, reference_config_path
+):
+    config, diagnostics = load_data(tmp_path, full_config(tmp_path, reference_config_path))
+    assert config is not None
+    assert [str(d) for d in diagnostics] == []
+    path = tmp_path / "actuals.json"
+    path.write_text(json.dumps(full_actuals()))
+    records, diagnostics = load_actuals(path, reference_config)
+    assert len(records) == 1
+    assert [str(d) for d in diagnostics] == []
+
+
+def test_each_misspelled_config_key_is_one_warning_naming_it(tmp_path, reference_config_path):
+    # Every key of every config record, one at a time, with one letter dropped:
+    # exactly one warning, which names the key that was meant.
+    full = full_config(tmp_path, reference_config_path)
+    failures = []
+    for path in key_paths(full):
+        data, typo = misspelled(full, path)
+        _, diagnostics = load_data(tmp_path, data)
+        warnings = warning_messages(diagnostics)
+        expected = f"unknown field {typo!r} (did you mean {path[-1]!r}?)"
+        if len(warnings) != 1 or not warnings[0].endswith(expected):
+            failures.append((path, warnings))
+    assert not failures, failures[:10]
+
+
+def test_each_misspelled_actuals_key_is_one_warning_naming_it(tmp_path, reference_config):
+    path = tmp_path / "actuals.json"
+    failures = []
+    for key_path in key_paths(full_actuals()):
+        data, typo = misspelled(full_actuals(), key_path)
+        path.write_text(json.dumps(data))
+        _, diagnostics = load_actuals(path, reference_config)
+        warnings = warning_messages(diagnostics)
+        expected = f"unknown field {typo!r} (did you mean {key_path[-1]!r}?)"
+        if len(warnings) != 1 or not warnings[0].endswith(expected):
+            failures.append((key_path, warnings))
+    assert not failures, failures
+
+
+def test_unknown_field_warning_names_its_location(tmp_path, reference_config):
+    path = tmp_path / "actuals.json"
+    payload = full_actuals()
+    payload["records"][0]["loses"] = {}
+    payload["records"][0]["losses"]["fraudulent-claims"]["count"] = 1
+    path.write_text(json.dumps(payload))
+    records, diagnostics = load_actuals(path, reference_config)
+    assert len(records) == 1
+    assert [str(d) for d in diagnostics] == [
+        "warning: records[0]: unknown field 'loses' (did you mean 'losses'?)",
+        "warning: records[0].losses.fraudulent-claims: unknown field 'count'",
+    ]
+
+
+def test_null_reads_as_absent_only_where_it_did(tmp_path):
+    # penalties and rules may be null; costs, simulation and a projection
+    # margin, whose default depends on the phase, may not.
+    for section, key, valid in (
+        ((), "penalties", True),
+        (("costs",), "rules", True),
+        ((), "costs", False),
+        ((), "simulation", False),
+        (("simulation",), "target_relative_se", True),
+        (("benefits", 1), "projection_margin", False),
+    ):
+        (tmp_path / "arms.csv").write_text("arm,trials,successes\ntreatment,9,2\ncontrol,9,1\n")
+        data = minimal_config()
+        data["benefits"].append(
+            {
+                "id": "uplift",
+                "kind": "revenue_uplift",
+                "ab_test": {"csv": "arms.csv", "value_per_success": 10.0, "annual_volume": 1000},
+            }
+        )
+        node = data
+        for part in section:
+            node = node[part]
+        node[key] = None
+        config, diagnostics = load_data(tmp_path, data)
+        assert (config is not None) == valid, (key, [str(d) for d in diagnostics])
+        assert len(error_messages(diagnostics)) == (0 if valid else 1)
+
+
+# -- A/B arm counts from CSV --------------------------------------------------------------
+
+
+def csv_uplift_config(tmp_path, text, encoding="utf-8"):
+    (tmp_path / "arms.csv").write_bytes(text.encode(encoding))
+    data = minimal_config()
+    data["benefits"].append(
+        {
+            "id": "uplift",
+            "kind": "revenue_uplift",
+            "projection_margin": 0.0,
+            "ab_test": {"csv": "arms.csv", "value_per_success": 10.0, "annual_volume": 100000},
+        }
+    )
+    return load_data(tmp_path, data)
+
+
+def test_repeated_arm_row_is_one_error(tmp_path):
+    config, diagnostics = csv_uplift_config(
+        tmp_path, "arm,trials,successes\ntreatment,1000,120\ncontrol,1000,100\ntreatment,10,9\n"
+    )
+    assert config is None
+    assert error_messages(diagnostics) == [
+        f"error: benefits[1] (uplift).ab_test: arm 'treatment' appears twice in "
+        f"{tmp_path / 'arms.csv'}"
+    ]
+
+
+def test_arm_csv_with_a_byte_order_mark_is_read(tmp_path):
+    config, diagnostics = csv_uplift_config(
+        tmp_path, "arm,trials,successes\ntreatment,1000,120\ncontrol,1000,100\n", "utf-8-sig"
+    )
+    assert [str(d) for d in diagnostics] == []
+    assert config.portfolio.benefits[1].annual_value == Point(pytest.approx(20_000.0, rel=1e-9))
