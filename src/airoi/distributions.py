@@ -14,7 +14,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -24,6 +24,11 @@ SEED_LIMIT = 1 << 64
 # Highest event rate accepted, in events per year: one iteration's severity
 # batch then holds at most 10^6 floats (8 MB).
 MAX_EVENT_RATE = 1e6
+# Longest severity batch drawn as a vector: one-double families, and the
+# rejection-sampled ones (lognormal, PERT), for which a longer cap was slower
+# on wide portfolios.  Longer batches take the positioned scalar path.
+_MAX_UNIFORM_EVENTS = 64
+_MAX_WORD_EVENTS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +258,9 @@ def _resolve_generator(rng: "RngStream | np.random.Generator") -> np.random.Gene
 _PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_KEY_BUMPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+_PHILOX_HALVES = tuple(
+    (np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32), np.uint64(m)) for m in _PHILOX_MULTIPLIERS
+)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
@@ -260,61 +268,98 @@ _SHIFT11 = np.uint64(11)
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0
 
 
-def _mulhilo(multiplier: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low) 64-bit words of ``multiplier * x``, from 32-bit halves."""
-    m_lo = np.uint64(multiplier & 0xFFFFFFFF)
-    m_hi = np.uint64(multiplier >> 32)
-    x_lo = x & _LOW32
-    x_hi = x >> _SHIFT32
-    lo_lo = m_lo * x_lo
-    lo_hi = m_lo * x_hi
-    hi_lo = m_hi * x_lo
-    carry = (lo_lo >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
-    high = m_hi * x_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + (carry >> _SHIFT32)
-    return high, x * np.uint64(multiplier)
+def _mulhilo(
+    halves: tuple[np.uint64, np.uint64, np.uint64],
+    x: np.ndarray,
+    high: np.ndarray,
+    low: np.ndarray,
+    temps: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """Write the high and low 64-bit words of ``multiplier * x``, from 32-bit halves.
+
+    ``halves`` is (low half, high half, whole) of the multiplier.  Each
+    step writes into ``high``, ``low`` or ``temps``, which have the shape
+    of ``x`` and alias neither it nor each other.  No partial sum
+    overflows: (2**32 - 1)**2 + 2 (2**32 - 1) < 2**64 (Warren, *Hacker's
+    Delight*, 2nd ed., 2012, section 8-2).
+    """
+    m_lo, m_hi, m = halves
+    x_lo, mid = temps
+    np.bitwise_and(x, _LOW32, x_lo)
+    np.right_shift(x, _SHIFT32, high)  # x_hi
+    np.multiply(x_lo, m_lo, mid)
+    np.right_shift(mid, _SHIFT32, mid)
+    np.multiply(high, m_lo, low)
+    np.add(mid, low, mid)  # mid = x_hi m_lo + (x_lo m_lo >> 32)
+    np.multiply(x_lo, m_hi, x_lo)
+    np.bitwise_and(mid, _LOW32, low)
+    np.add(x_lo, low, x_lo)  # x_lo = x_lo m_hi + (mid & LOW32)
+    np.multiply(high, m_hi, high)
+    np.right_shift(mid, _SHIFT32, mid)
+    np.add(high, mid, high)
+    np.right_shift(x_lo, _SHIFT32, x_lo)
+    np.add(high, x_lo, high)  # x_hi m_hi + (mid >> 32) + (x_lo >> 32)
+    np.multiply(x, m, low)
 
 
-def philox_block(words: tuple[int, int], iterations: np.ndarray, block: int) -> np.ndarray:
+def philox_block(
+    words: tuple[int, int], iterations: np.ndarray, block: int | np.ndarray
+) -> np.ndarray:
     """Output block ``block`` of the Philox4x64-10 stream of each iteration.
 
     Row ``r`` holds the four 64-bit words that the stream keyed by
     ``words`` emits, for iteration ``iterations[r]``, as its draws
-    ``4 * block`` to ``4 * block + 3``, bit for bit as ``np.random.Philox``
-    emits them.  The generator bumps its counter before each block, so
-    block ``b`` encrypts counter ``(b + 1, 0, i, 0)``.  Iteration indices
-    must lie below 2**64.
+    ``4 * b`` to ``4 * b + 3``, where ``b`` is ``block`` or, for an array,
+    ``block[r]``; bit for bit as ``np.random.Philox`` emits them.  The
+    generator bumps its counter before each block, so block ``b`` encrypts
+    counter ``(b + 1, 0, i, 0)``.  Iteration indices must lie below 2**64.
     """
-    c0 = np.full(iterations.shape, block + 1, dtype=np.uint64)
-    c1 = np.zeros(iterations.shape, dtype=np.uint64)
+    shape = iterations.shape
+    c0 = np.empty(shape, dtype=np.uint64)
+    c0[...] = np.asarray(block).astype(np.uint64) + np.uint64(1)
+    c1 = np.zeros(shape, dtype=np.uint64)
     c2 = iterations.astype(np.uint64)
-    c3 = c1
+    c3 = np.zeros(shape, dtype=np.uint64)
+    hi0, lo0, hi1, lo1 = (np.empty(shape, dtype=np.uint64) for _ in range(4))
+    temps = (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64))
     k0, k1 = words
     for round_index in range(_PHILOX_ROUNDS):
         if round_index:
             k0 = (k0 + _PHILOX_KEY_BUMPS[0]) & _MASK64
             k1 = (k1 + _PHILOX_KEY_BUMPS[1]) & _MASK64
-        hi0, lo0 = _mulhilo(_PHILOX_MULTIPLIERS[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_MULTIPLIERS[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        _mulhilo(_PHILOX_HALVES[0], c0, hi0, lo0, temps)
+        _mulhilo(_PHILOX_HALVES[1], c2, hi1, lo1, temps)
+        np.bitwise_xor(hi1, c1, hi1)
+        np.bitwise_xor(hi1, np.uint64(k0), hi1)
+        np.bitwise_xor(hi0, c3, hi0)
+        np.bitwise_xor(hi0, np.uint64(k1), hi0)
+        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0); the
+        # old counter words become the next round's output buffers.
+        c0, c1, c2, c3, hi1, lo1, hi0, lo0 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
     return np.stack((c0, c1, c2, c3), axis=1)
 
 
+def _doubles(raw: np.ndarray) -> np.ndarray:
+    """The ``random()`` double that numpy reads from each 64-bit output."""
+    return (raw >> _SHIFT11) * _DOUBLE_UNIT
+
+
 class StreamUniforms:
-    """The ``Generator.random()`` values of one stream over a block of iterations.
+    """The 64-bit outputs of one stream over a block of iterations.
 
     Row ``r`` stands for iteration ``start + r``; its position ``j`` is the
-    double that the ``j``-th ``random()`` call on
-    ``RngStream(seed, key, start + r).generator`` returns.  Each such call
-    consumes one 64-bit output, so position ``j`` sits in Philox block
-    ``j // 4``.  Blocks are generated on demand, and only for the rows that
-    read them.
+    ``j``-th 64-bit output of ``RngStream(seed, key, start + r).generator``'s
+    bit generator: ``outputs`` gives the outputs themselves, and ``column``
+    the double that the ``j``-th ``random()`` call returns.  Position ``j``
+    sits in Philox block ``j // 4``.  Blocks are generated on demand, and
+    only for the rows that read them.
     """
 
     def __init__(self, words: tuple[int, int], start: int, stop: int):
         self.words = words
         self.rows = stop - start
         self._iterations = np.arange(start, stop, dtype=np.uint64)
-        self._values = np.empty((self.rows, 0))
+        self._raw = np.empty((self.rows, 0), dtype=np.uint64)
         self._blocks = np.zeros(self.rows, dtype=np.int64)  # blocks filled per row
 
     def _fill(self, rows: np.ndarray, ends: np.ndarray) -> None:
@@ -323,29 +368,32 @@ class StreamUniforms:
             return
         needed = (ends + 3) // 4
         top = int(needed.max())
-        if 4 * top > self._values.shape[1]:
-            grown = np.empty((self.rows, 4 * top))
-            grown[:, : self._values.shape[1]] = self._values
-            self._values = grown
+        if 4 * top > self._raw.shape[1]:
+            grown = np.empty((self.rows, 4 * top), dtype=np.uint64)
+            grown[:, : self._raw.shape[1]] = self._raw
+            self._raw = grown
         have = self._blocks[rows]
-        for block in range(int(have.min()), top):
-            pick = rows[(have <= block) & (needed > block)]
-            if pick.size:
-                raw = philox_block(self.words, self._iterations[pick], block)
-                self._values[pick, 4 * block : 4 * block + 4] = (raw >> _SHIFT11) * _DOUBLE_UNIT
+        missing = np.maximum(needed - have, 0)
+        if missing.any():
+            # Every missing (row, block) pair, in one Philox pass.
+            pick = np.repeat(rows, missing)
+            blocks = np.repeat(have - np.cumsum(missing) + missing, missing) + np.arange(pick.size)
+            self._raw[pick[:, None], 4 * blocks[:, None] + np.arange(4)] = philox_block(
+                self.words, self._iterations[pick], blocks
+            )
         self._blocks[rows] = np.maximum(have, needed)
 
     def column(self, position: int, rows: np.ndarray | None = None) -> np.ndarray:
-        """Position ``position`` of each of ``rows`` (default: every row)."""
+        """Position ``position`` of each of ``rows`` (default: every row), as doubles."""
         if rows is None:
             rows = np.arange(self.rows)
         self._fill(rows, np.full(rows.shape, position + 1))
-        return self._values[rows, position]
+        return _doubles(self._raw[rows, position])
 
-    def runs(self, rows: np.ndarray, first: np.ndarray, length: int) -> np.ndarray:
-        """``length`` consecutive positions per row, from ``first[k]`` for ``rows[k]``."""
+    def outputs(self, rows: np.ndarray, first: np.ndarray, length: int) -> np.ndarray:
+        """``length`` consecutive outputs per row, from ``first[k]`` for ``rows[k]``."""
         self._fill(rows, first + length)
-        return self._values[rows[:, None], first[:, None] + np.arange(length)]
+        return self._raw[rows[:, None], first[:, None] + np.arange(length)]
 
 
 # ---------------------------------------------------------------------------
@@ -532,21 +580,143 @@ def make_batch_sampler(q: UncertainQuantity):
     raise TypeError(f"unsupported quantity type {type(q).__name__}")
 
 
-@lru_cache(maxsize=None)
-def uniform_transform(q: UncertainQuantity):
-    """Compile ``q`` into a vector map from ``random()`` values to draws.
+# ---------------------------------------------------------------------------
+# Vector draws from 64-bit outputs
+# ---------------------------------------------------------------------------
 
-    Defined for the non-degenerate families numpy draws from one uniform
-    (uniform, triangular), with numpy's own arithmetic, so ``transform(u)``
-    equals what :func:`sample` returns from a generator whose next
-    ``random()`` is ``u``.  None for degenerate quantities, which draw
-    nothing, and for PERT and lognormal, which numpy draws by rejection.
+_LAYER = np.uint64(0xFF)
+_SIGN = np.uint64(0x100)
+_SHIFT9 = np.uint64(9)
+_MAGNITUDE = np.uint64((1 << 52) - 1)
+# The self-check's fixed sample: the first 64 outputs of iterations 0-127 of one stream.
+_CHECK_WORDS = (0x452821E638D01377, 0xBE5466CF34E90C6C)
+_CHECK_ROWS = 128
+_CHECK_BLOCKS = 16
+_CHECK_SHAPES = (1.7, 4.3)
+
+
+def _standard_normals(outputs: np.ndarray, tables) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's standard normal from each 64-bit output, and where it is exact.
+
+    ``Generator.standard_normal`` is a 256-layer ziggurat (Marsaglia &
+    Tsang 2000, JSS 5(8)) that returns ``±rabs * wi[layer]`` from one
+    output when ``rabs`` lies below the layer's threshold; ``tables``
+    hold ``wi`` and the largest such ``rabs`` seen (see ``_ziggurat``).
     """
-    if is_degenerate(q):
+    wi, thr = tables
+    layer = (outputs & _LAYER).astype(np.intp)
+    rabs = ((outputs >> _SHIFT9) & _MAGNITUDE).astype(np.int64)
+    z = rabs * wi[layer]
+    np.negative(z, out=z, where=(outputs & _SIGN) != 0)
+    return z, rabs <= thr[layer]
+
+
+def _standard_gammas(
+    shape: float, normal: np.ndarray, uniform: np.ndarray, tables
+) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's gamma for ``shape > 1`` from one normal and one uniform output each.
+
+    Marsaglia & Tsang 2000 (ACM TOMS 26(3)) with numpy's arithmetic.  Exact
+    where the normal is, ``V > 0`` and the squeeze test accepts: the draws
+    that take one pass and no logarithm.
+    """
+    b = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9 * b)
+    x, exact = _standard_normals(normal, tables)
+    v = 1.0 + c * x
+    xx = x * x
+    exact &= (v > 0.0) & (_doubles(uniform) < 1.0 - 0.0331 * xx * xx)
+    return b * (v * v * v), exact
+
+
+def _betas(
+    shapes: tuple[float, float], outputs: np.ndarray, tables
+) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``beta(a, b)`` (both shapes above 1) from outputs ``[..., 0:4]``: Ga / (Ga + Gb)."""
+    ga, exact_a = _standard_gammas(shapes[0], outputs[..., 0], outputs[..., 1], tables)
+    gb, exact_b = _standard_gammas(shapes[1], outputs[..., 2], outputs[..., 3], tables)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where not exact
+        return ga / (ga + gb), exact_a & exact_b
+
+
+def _passes_self_check(tables) -> bool:
+    """True if the vector normals and betas equal numpy's on a fixed sample.
+
+    Each row of the sample is one positioned generator.  The normals it
+    draws from its outputs must match up to the first that is not exact,
+    and so must the betas it draws from them, four outputs each.
+    """
+    rows, blocks = _CHECK_ROWS, _CHECK_BLOCKS
+    outputs = philox_block(
+        _CHECK_WORDS,
+        np.repeat(np.arange(rows, dtype=np.uint64), blocks),
+        np.tile(np.arange(blocks), rows),
+    ).reshape(rows, 4 * blocks)
+    sampler = SubstreamSampler()
+    normals = [sampler.at(_CHECK_WORDS, i).standard_normal(4 * blocks) for i in range(rows)]
+    betas = [sampler.at(_CHECK_WORDS, i).beta(*_CHECK_SHAPES, size=blocks) for i in range(rows)]
+
+    def agrees(drawn, exact, reference) -> bool:
+        prefix = np.logical_and.accumulate(exact, axis=1)
+        return np.array_equal(drawn[prefix], np.array(reference)[prefix])
+
+    return agrees(*_standard_normals(outputs, tables), normals) and agrees(
+        *_betas(_CHECK_SHAPES, outputs.reshape(rows, blocks, 4), tables), betas
+    )
+
+
+@lru_cache(maxsize=1)
+def _normal_tables():
+    """The ziggurat tables as (wi, thr) arrays, or None if they fail the self-check.
+
+    Loaded on the first lognormal or PERT draw.  A table that disagrees
+    with the installed numpy turns the vector path off, as
+    :func:`_philox_state_views` turns off its shortcut.
+    """
+    from . import _ziggurat
+
+    tables = (np.array(_ziggurat.WI, dtype=float), np.array(_ziggurat.THR, dtype=np.int64))
+    return tables if _passes_self_check(tables) else None
+
+
+class VectorSampler(NamedTuple):
+    """Exact vector draws of one quantity from 64-bit outputs.
+
+    ``values(outputs)`` maps an array (rows, width) of consecutive outputs
+    to ``(draws, exact)``, and ``sums(outputs)`` maps (rows, n, width) to
+    ``(sums of n draws, exact)``.  Where ``exact`` holds, a draw equals what
+    :func:`make_sampler` returns, and a sum what :func:`make_batch_sampler`
+    returns, from a generator whose next outputs these are.  The other rows
+    hold filler and must be drawn on the positioned path, as must batches
+    of more than ``max_events`` draws.
+    """
+
+    width: int
+    max_events: int
+    values: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    sums: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def vector_sampler(q: UncertainQuantity) -> VectorSampler | None:
+    """The vector path of a non-degenerate ``q``, or None if it has none.
+
+    Uniform and triangular values are numpy's transforms of one
+    ``random()`` double.  Lognormal values use one normal, PERT values one
+    beta, drawn with numpy's rejection samplers on the draws that need no
+    second try.  None for PERT with a shape of exactly 1 (mode at an end),
+    which numpy draws as an exponential, and for lognormal and PERT when
+    the ziggurat table fails its self-check.
+    """
+    if isinstance(q, (Lognormal, Pert)) and _normal_tables() is None:
         return None
+    return _vector_sampler(q)
+
+
+@lru_cache(maxsize=None)
+def _vector_sampler(q: UncertainQuantity) -> VectorSampler | None:
     if isinstance(q, Uniform):
         lo, width = q.lo, q.hi - q.lo
-        return lambda u: lo + width * u
+        return _from_doubles(lambda u: lo + width * u)
     if isinstance(q, Triangular):
         # numpy's random_triangular, both branches.
         lo, mode, hi = q.lo, q.mode, q.hi
@@ -555,12 +725,77 @@ def uniform_transform(q: UncertainQuantity):
         ratio = left / base
         left_product = left * base
         right_product = (hi - mode) * base
-        return lambda u: np.where(
-            u <= ratio,
-            lo + np.sqrt(u * left_product),
-            hi - np.sqrt((1.0 - u) * right_product),
+        return _from_doubles(
+            lambda u: np.where(
+                u <= ratio,
+                lo + np.sqrt(u * left_product),
+                hi - np.sqrt((1.0 - u) * right_product),
+            )
         )
+    if isinstance(q, Lognormal):
+        median, sigma = q.median, q.sigma
+
+        def exponentials(outputs):
+            """exp(sigma z) per normal, as rows x draws, and which rows are exact."""
+            # math.exp, as the scalar path: numpy's exp can differ in the last
+            # bit.  Rows that are not exact take exp(0), so raise no OverflowError.
+            z, exact = _standard_normals(outputs.reshape(outputs.shape[0], -1), _normal_tables())
+            exact = exact.all(axis=1)
+            flat = np.where(exact[:, None], sigma * z, 0.0).ravel().tolist()
+            return np.fromiter(map(math.exp, flat), float, len(flat)).reshape(z.shape), exact
+
+        def values(outputs):
+            e, exact = exponentials(outputs)
+            with np.errstate(over="ignore"):
+                return median * e[:, 0], exact
+
+        def sums(outputs):
+            # The reference's form for n <= 8: sequential adds from 0.0.
+            e, exact = exponentials(outputs)
+            total = e[:, 0].copy()
+            with np.errstate(over="ignore"):
+                for j in range(1, e.shape[1]):
+                    total += e[:, j]
+                return median * total, exact
+
+        return VectorSampler(1, _MAX_WORD_EVENTS, values, sums)
+    if isinstance(q, Pert):
+        lo, width = q.lo, q.hi - q.lo
+        shapes = (1.0 + 4.0 * (q.mode - q.lo) / width, 1.0 + 4.0 * (q.hi - q.mode) / width)
+        if 1.0 in shapes:
+            return None
+
+        def betas(outputs):
+            """Betas as rows x draws, four outputs each, and which rows are exact."""
+            beta, exact = _betas(shapes, outputs.reshape(outputs.shape[0], -1, 4), _normal_tables())
+            return beta, exact.all(axis=1)
+
+        def values(outputs):
+            beta, exact = betas(outputs)
+            return lo + width * beta[:, 0], exact
+
+        def sums(outputs):
+            beta, exact = betas(outputs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # numpy's per-row sum, as the batch's 1-D sum.
+                return lo * beta.shape[1] + width * beta.sum(axis=1), exact
+
+        return VectorSampler(4, _MAX_WORD_EVENTS, values, sums)
     return None
+
+
+def _from_doubles(transform) -> VectorSampler:
+    """The sampler of a family numpy draws from one ``random()`` double: always exact."""
+
+    def values(outputs):
+        return transform(_doubles(outputs[:, 0])), np.ones(outputs.shape[0], dtype=bool)
+
+    def sums(outputs):
+        # numpy's per-row sum, as batch draws sum.
+        draws = transform(_doubles(outputs[..., 0]))
+        return draws.sum(axis=1), np.ones(outputs.shape[0], dtype=bool)
+
+    return VectorSampler(1, _MAX_UNIFORM_EVENTS, values, sums)
 
 
 def sample(q: UncertainQuantity, rng: "RngStream | np.random.Generator") -> float:

@@ -36,7 +36,7 @@ from .distributions import (
     mean,
     percentile,
     stream_words,
-    uniform_transform,
+    vector_sampler,
 )
 from .risk import RiskRegister
 
@@ -60,9 +60,6 @@ MAX_ITERATIONS = 10**8
 MAX_HORIZON_YEARS = 200
 # Iterations per kernel pass: bounds the per-stream scratch arrays.
 _KERNEL_BLOCK = 4096
-# Iterations with more events than this draw their closed-form severities on
-# the positioned scalar path, which holds one iteration's draws at a time.
-_MAX_VECTOR_EVENTS = 64
 
 
 @dataclass(frozen=True)
@@ -416,11 +413,13 @@ def _assemble_columns(
 # Stream-major kernel
 #
 # Each (stream, iteration) pair owns its own Philox counter block, so a
-# stream can be drawn for every iteration of a block at once.  Uniform and
-# triangular values, point-rate thinning and Poisson counts below rate 10
-# are computed from vectorized Philox output with numpy's own transforms;
-# PERT, lognormal and Poisson counts at rate 10 or more are drawn by
-# rejection and keep one positioned generator per (stream, iteration).
+# stream can be drawn for every iteration of a block at once.  Uniform,
+# triangular, lognormal and PERT values, point-rate thinning and Poisson
+# counts below rate 10 are computed from vectorized Philox output with
+# numpy's own arithmetic (distributions.vector_sampler).  A draw numpy
+# makes by a second try of its rejection sampler, a PERT with a shape of 1,
+# a long severity batch and a Poisson count at rate 10 or more keep one
+# positioned generator per (stream, iteration).
 # The drawn columns then go through _assemble_columns, the same code that
 # evaluates the analytic means.
 # ---------------------------------------------------------------------------
@@ -430,16 +429,23 @@ def _draw_values(
     quantity, words, sampler: SubstreamSampler, start: int, stop: int
 ) -> np.ndarray:
     """One draw of ``quantity`` per iteration in ``[start, stop)``."""
+    n = stop - start
     if words is None:
-        return np.full(stop - start, degenerate_value(quantity), dtype=float)
-    transform = uniform_transform(quantity)
-    if transform is not None:
-        return transform(StreamUniforms(words, start, stop).column(0))
+        return np.full(n, degenerate_value(quantity), dtype=float)
+    vector = vector_sampler(quantity)
+    if vector is None:
+        values, scalar_rows = np.empty(n), range(n)
+    else:
+        outputs = StreamUniforms(words, start, stop).outputs(
+            np.arange(n), np.zeros(n, dtype=np.int64), vector.width
+        )
+        values, exact = vector.values(outputs)
+        scalar_rows = np.flatnonzero(~exact).tolist()
     draw = make_sampler(quantity)
     at = sampler.at
-    return np.fromiter(
-        (draw(at(words, i)) for i in range(start, stop)), dtype=float, count=stop - start
-    )
+    for row in scalar_rows:
+        values[row] = draw(at(words, start + row))
+    return values
 
 
 def _draw_losses(
@@ -455,15 +461,18 @@ def _draw_losses(
         counts, consumed = drawn
         if is_degenerate(severity):
             return np.where(counts > 0, degenerate_value(severity) * counts, 0.0)
-        transform = uniform_transform(severity)
-        if transform is None:
+        vector = vector_sampler(severity)
+        if vector is None:
             scalar_rows = np.flatnonzero(counts).tolist()
         else:
-            for count in np.unique(counts[(counts > 0) & (counts <= _MAX_VECTOR_EVENTS)]):
+            misses = [np.flatnonzero(counts > vector.max_events)]
+            for count in np.unique(counts[(counts > 0) & (counts <= vector.max_events)]):
                 rows = np.flatnonzero(counts == count)
-                draws = transform(uniforms.runs(rows, consumed[rows], int(count)))
-                losses[rows] = draws.sum(axis=1)  # numpy's per-row sum, as batch draws sum
-            scalar_rows = np.flatnonzero(counts > _MAX_VECTOR_EVENTS).tolist()
+                outputs = uniforms.outputs(rows, consumed[rows], int(count) * vector.width)
+                sums, exact = vector.sums(outputs.reshape(rows.size, int(count), vector.width))
+                losses[rows] = sums
+                misses.append(rows[~exact])
+            scalar_rows = np.concatenate(misses).tolist()
     count_draw = make_count_sampler(freq)
     severity_batch = make_batch_sampler(severity)
     at = sampler.at
@@ -557,7 +566,7 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
     step = cfg.iterations if target is None else _EARLY_STOP_BLOCK
 
     blocks: list[SimulationResult] = []
-    nets: list[float] = []
+    stop_rule = None if target is None else _StopRule(target)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for start in range(0, cfg.iterations, step):
             stop = min(start + step, cfg.iterations)
@@ -572,20 +581,116 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
                 ]
                 block = SimulationResult.concat([future.result() for future in futures])
             blocks.append(block)
-            if target is not None:
-                nets.extend(
-                    (
-                        block.gross_benefits
-                        + block.risk_reduction
-                        - block.risk_increase
-                        - block.tco_total
-                    ).tolist()
-                )
-                net_mean = math.fsum(nets) / len(nets)
-                if len(nets) >= 2 and net_mean != 0:
-                    if standard_error(nets) / abs(net_mean) <= target:
-                        break
+            if stop_rule is not None and stop_rule.reached(
+                block.gross_benefits + block.risk_reduction - block.risk_increase - block.tco_total
+            ):
+                break
     return SimulationResult.concat(blocks)
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2**-53: the bound on k roundings."""
+    return k * 2.0**-53 / (1 - k * 2.0**-53)
+
+
+def _exact_partials(values: list[float]) -> list[float]:
+    """Doubles whose exact sum is that of ``values``, the correctly rounded sum first.
+
+    Each is ``math.fsum`` of the remainder the ones before it leave; a sum
+    of doubles is a multiple of 2**-1074, so the remainder reaches 0.
+    """
+    terms = list(values)
+    partials: list[float] = []
+    while (partial := math.fsum(terms)) != 0.0:
+        partials.append(partial)
+        terms.append(-partial)
+    return partials
+
+
+class _StopRule:
+    """Early stopping on the net benefit, in time linear in the run length.
+
+    After each block, :meth:`reached` answers ``standard_error(nets) /
+    abs(mean) <= target`` over every net so far, where ``mean`` is
+    ``math.fsum(nets) / n``, and answers it as that expression would:
+
+    - The sum is kept as exact partials, so the mean has ``fsum``'s bits.
+    - The ratio is first bounded from each block's numpy two-pass
+      statistics (count, mean, squared deviations, absolute sum).  With
+      ``c`` the mean, Q = sum (x - c)^2 splits by block as
+      sum_b [M_b + n_b (m_b - c)^2 + 2 (m_b - c) D_b], where
+      D_b = sum_b x - n_b m_b.  A sum of k floats in any order errs by at
+      most gamma_(k-1) times the sum of magnitudes (Higham 2002, ch. 4),
+      so |D_b| <= gamma_(n_b) A_b, M_b and the squares carry gamma_(n_b+2)
+      relative, and the sum over blocks adds gamma_(blocks).
+      ``standard_error``'s own roundings (fsum of rounded squares, two
+      square roots, three divisions) stay within gamma_8 of sqrt(Q).
+    - Only when those bounds straddle the target does the exact
+      ``standard_error`` run over every net.
+
+    The bounds hold while every net lies within 2**480, far below
+    overflow; a non-finite or larger net sends every later decision to the
+    exact expression.
+    """
+
+    _LIMIT = 2.0**480
+
+    def __init__(self, target: float):
+        self.target = target
+        self._nets: list[np.ndarray] = []
+        self._n = 0
+        self._partials: list[float] = []
+        # Per block: n_b, m_b, M_b, A_b; grown by doubling.
+        self._stats = np.empty((16, 4))
+        self._blocks = 0
+        self._exact_only = False
+
+    def reached(self, nets: np.ndarray) -> bool:
+        """Whether the nets so far, these appended, meet the target."""
+        self._nets.append(nets)
+        self._n += nets.size
+        if self._exact_only or not (np.abs(nets) <= self._LIMIT).all():
+            self._exact_only = True
+            every = np.concatenate(self._nets).tolist()
+            net_mean = math.fsum(every) / self._n
+            return self._n >= 2 and net_mean != 0 and self._exact_ratio(every, net_mean)
+        self._partials = _exact_partials(self._partials + nets.tolist())
+        block_mean = nets.sum() / nets.size
+        deviations = nets - block_mean
+        if self._blocks == len(self._stats):
+            self._stats = np.concatenate([self._stats, np.empty_like(self._stats)])
+        self._stats[self._blocks] = (
+            nets.size,
+            block_mean,
+            (deviations * deviations).sum(),
+            np.abs(nets).sum(),
+        )
+        self._blocks += 1
+        n = self._n
+        net_mean = math.fsum(self._partials) / n
+        if n < 2 or net_mean == 0:
+            return False
+
+        counts, means, squares, magnitudes = self._stats[: self._blocks].T
+        shift = means - net_mean
+        q = float((squares + counts * (shift * shift)).sum())
+        widest = int(counts.max())
+        cross = float((np.abs(shift) * magnitudes).sum())
+        q_error = (
+            _gamma(widest + 7 + self._blocks) * q
+            + 2 * _gamma(widest + 1) * cross
+            + n * 2.0**-1070
+        )
+        scale = math.sqrt(n - 1) * math.sqrt(n) * abs(net_mean)
+        slack = _gamma(8) + 2.0**-40  # standard_error's roundings, and this bound's own
+        if math.sqrt(q + 2 * q_error) / scale * (1 + slack) <= self.target:
+            return True
+        if math.sqrt(max(q - 2 * q_error, 0.0)) / scale * (1 - slack) > self.target:
+            return False
+        return self._exact_ratio(np.concatenate(self._nets).tolist(), net_mean)
+
+    def _exact_ratio(self, every: list[float], net_mean: float) -> bool:
+        return standard_error(every) / abs(net_mean) <= self.target
 
 
 # ---------------------------------------------------------------------------

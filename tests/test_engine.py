@@ -427,6 +427,72 @@ def test_early_stop_quantizes_to_blocks():
         assert blocked.outcomes == full.outcomes
 
 
+class _InlineExecutor(Executor):
+    """Runs each submitted chunk inline, so a multi-worker run starts no process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_early_stop_decides_at_the_stopping_ratio(monkeypatch):
+    # The stopping rule answers standard_error(nets) / |mean| <= target as
+    # that expression over every net so far would.  Targets at, and one ulp
+    # and 1e-9 relative either side of, the ratio after block 3 stop at the
+    # same block serially and over three workers; only the targets within
+    # the rule's error bound run the exact expression.
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    portfolio = small_portfolio()
+    iterations = 4_000
+    full = run_simulation(portfolio, SimulationConfig(iterations=iterations, master_seed=8))
+    nets = (full.gross_benefits + full.risk_reduction - full.risk_increase - full.tco_total).tolist()
+    ratios = [
+        standard_error(nets[:n]) / abs(math.fsum(nets[:n]) / n)
+        for n in range(1_000, iterations + 1, 1_000)
+    ]
+    ratio = ratios[2]
+    assert min(ratios[:2]) > ratio > ratios[3]
+
+    exact_calls = []
+    monkeypatch.setattr(
+        engine, "standard_error", lambda s: exact_calls.append(len(s)) or standard_error(s)
+    )
+    for target, bounded in (
+        (ratio, False),
+        (math.nextafter(ratio, math.inf), False),
+        (math.nextafter(ratio, 0.0), False),
+        (ratio * (1 + 1e-9), True),
+        (ratio * (1 - 1e-9), True),
+    ):
+        stops = next(k for k, r in enumerate(ratios, 1) if r <= target)
+        for workers in (1, 3):
+            exact_calls.clear()
+            result = run_simulation(
+                portfolio,
+                SimulationConfig(iterations, 8, worker_count=workers, target_relative_se=target),
+            )
+            assert len(result) == 1_000 * stops
+            assert result.gross_benefits.tolist() == full.gross_benefits[: len(result)].tolist()
+            assert (exact_calls == []) == bounded
+
+
+def test_exact_partials_keep_the_exact_sum():
+    from fractions import Fraction
+
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        values = (rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, size=50)).tolist()
+        values += [-v for v in values[:10]] + [1e300, -1e300, 5e-324]
+        partials = engine._exact_partials(values)
+        assert sum(map(Fraction, partials)) == sum(map(Fraction, values))
+        assert math.fsum(partials) == math.fsum(values)
+
+
 def _random_portfolio(gen) -> Portfolio:
     # Covers every branch the sampling kernel splits on: degenerate members,
     # closed-form families (uniform, triangular), rejection-sampled ones

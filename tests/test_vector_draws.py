@@ -1,0 +1,209 @@
+"""The vector draws read from Philox outputs against numpy's own generator.
+
+Every vector draw must equal, bit for bit, what the positioned scalar path
+(``SubstreamSampler.at`` with ``make_sampler`` / ``make_batch_sampler``)
+returns for the same (stream, iteration).
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from airoi import _ziggurat, distributions
+from airoi.distributions import (
+    Lognormal,
+    Pert,
+    StreamUniforms,
+    SubstreamSampler,
+    Triangular,
+    Uniform,
+    make_batch_sampler,
+    make_sampler,
+    philox_block,
+    stream_words,
+    vector_sampler,
+)
+from airoi.engine import SimulationConfig, run_simulation
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _bits(values) -> np.ndarray:
+    """Bit patterns, so -0.0 and 0.0 differ and equal nans compare equal."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_philox_block_matches_numpy_philox():
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        words = tuple(int(w) for w in rng.integers(0, 2**64, size=2, dtype=np.uint64))
+        iterations = rng.integers(0, 2**64, size=8, dtype=np.uint64)
+        iterations[:3] = (0, 2**32, 2**64 - 1)
+        blocks = rng.integers(0, 40, size=8)
+        blocks[0] = 0
+        got = philox_block(words, iterations, blocks)
+        for row, (iteration, block) in enumerate(zip(iterations.tolist(), blocks.tolist())):
+            reference = np.random.Philox(
+                counter=np.array([0, 0, iteration, 0], dtype=np.uint64),
+                key=np.array(words, dtype=np.uint64),
+            ).random_raw(4 * block + 4)[-4:]
+            assert got[row].tolist() == reference.tolist()
+        # A scalar block is the same block for every row.
+        assert (philox_block(words, iterations, 3) == philox_block(words, iterations, np.full(8, 3))).all()
+
+
+def test_stream_outputs_fill_every_missing_block():
+    words = stream_words(5, "fill")
+    uniforms = StreamUniforms(words, 2**40, 2**40 + 30)
+    rows = np.array([1, 4, 9, 29])
+    first = np.array([0, 3, 13, 6])
+    doubles = uniforms.column(2, np.array([4, 9]))  # block 0 of two rows is already there
+    outputs = uniforms.outputs(rows, first, 9)
+    sampler = SubstreamSampler()
+    for k, row in enumerate(rows.tolist()):
+        raw = sampler.at(words, 2**40 + row).bit_generator.random_raw(first[k] + 9)
+        assert outputs[k].tolist() == raw[first[k] :].tolist()
+    for k, row in enumerate((4, 9)):
+        gen = sampler.at(words, 2**40 + row)
+        assert gen.random(3)[2] == doubles[k]
+
+
+def test_vector_normals_match_numpy_over_a_million_draws():
+    # 80,000 positioned generators draw 16 normals each; the vector normals
+    # from their 16 outputs must match up to the first one that is not exact.
+    rows, blocks = 80_000, 4
+    words = stream_words(11, "normals")
+    outputs = philox_block(
+        words, np.repeat(np.arange(rows, dtype=np.uint64), blocks), np.tile(np.arange(blocks), rows)
+    ).reshape(rows, 4 * blocks)
+    z, exact = distributions._standard_normals(outputs, distributions._normal_tables())
+    sampler = SubstreamSampler()
+    reference = np.array([sampler.at(words, i).standard_normal(4 * blocks) for i in range(rows)])
+    checked = np.logical_and.accumulate(exact, axis=1)
+    assert checked.sum() >= 10**6
+    assert (_bits(z[checked]) == _bits(reference[checked])).all()
+    layers = (outputs[checked] & np.uint64(0xFF)).astype(int)
+    assert set(layers.tolist()) == set(range(2, 256))
+    assert exact.mean() > 0.98
+
+
+def _quantities(rng):
+    """Lognormal and PERT quantities with random parameters, extremes included."""
+    quantities = [Lognormal(1e306, 1.5), Pert(-1e308, 0.0, 1e307), Pert(1.0, 1.0 + 2**-40, 9.0)]
+    for _ in range(3):
+        quantities.append(Lognormal(float(rng.uniform(1.0, 1e6)), float(rng.uniform(0.01, 3.0))))
+        quantities.append(Pert(*sorted(rng.uniform(-1e5, 1e6, size=3).tolist())))
+    return quantities
+
+
+def test_lognormal_and_pert_values_match_the_positioned_path():
+    rng = np.random.default_rng(7)
+    sampler = SubstreamSampler()
+    rows = 3000
+    for quantity in _quantities(rng):
+        vector = vector_sampler(quantity)
+        words = stream_words(int(rng.integers(2**63)), "values")
+        start = int(rng.integers(0, 2**40))
+        outputs = StreamUniforms(words, start, start + rows).outputs(
+            np.arange(rows), np.zeros(rows, dtype=np.int64), vector.width
+        )
+        values, exact = vector.values(outputs)
+        draw = make_sampler(quantity)
+        reference = [draw(sampler.at(words, start + i)) for i in range(rows)]
+        assert (_bits(values[exact]) == _bits(reference)[exact]).all()
+        assert exact.mean() > (0.95 if isinstance(quantity, Lognormal) else 0.75)
+
+
+def test_lognormal_and_pert_batches_match_the_positioned_path():
+    # Batches of 1-8 draws starting after a random number of count draws,
+    # as a severity batch starts after its event count.
+    rng = np.random.default_rng(8)
+    sampler = SubstreamSampler()
+    rows = 600
+    for quantity in _quantities(rng):
+        vector = vector_sampler(quantity)
+        batch = make_batch_sampler(quantity)
+        words = stream_words(int(rng.integers(2**63)), "batches")
+        uniforms = StreamUniforms(words, 0, rows)
+        for n in range(1, vector.max_events + 1):
+            first = rng.integers(0, 6, size=rows)
+            outputs = uniforms.outputs(np.arange(rows), first, n * vector.width)
+            sums, exact = vector.sums(outputs.reshape(rows, n, vector.width))
+            reference = []
+            for i in range(rows):
+                gen = sampler.at(words, i)
+                gen.random(int(first[i]))
+                reference.append(batch(gen, n))
+            assert (_bits(sums[exact]) == _bits(reference)[exact]).all()
+            assert exact.any()
+
+
+def test_vector_paths_cover_the_families_numpy_draws_without_a_second_try():
+    assert vector_sampler(Uniform(0.0, 1.0)).width == 1
+    assert vector_sampler(Triangular(0.0, 0.5, 1.0)).max_events == 64
+    assert vector_sampler(Lognormal(1.0, 0.5)).max_events == 8
+    assert vector_sampler(Pert(0.0, 0.5, 1.0)).width == 4
+    # A mode at an end makes a shape of 1, which numpy draws as an exponential.
+    assert vector_sampler(Pert(0.0, 0.0, 1.0)) is None
+    assert vector_sampler(Pert(0.0, 1.0, 1.0)) is None
+
+
+def test_self_check_sample_reaches_every_layer():
+    rows, blocks = distributions._CHECK_ROWS, distributions._CHECK_BLOCKS
+    outputs = philox_block(
+        distributions._CHECK_WORDS,
+        np.repeat(np.arange(rows, dtype=np.uint64), blocks),
+        np.tile(np.arange(blocks), rows),
+    ).reshape(rows, 4 * blocks)
+    _, exact = distributions._standard_normals(outputs, distributions._normal_tables())
+    checked = np.logical_and.accumulate(exact, axis=1)
+    assert set((outputs[checked] & np.uint64(0xFF)).astype(int).tolist()) == set(range(2, 256))
+
+
+@pytest.fixture
+def fresh_tables():
+    """Reload the ziggurat table before and after the test."""
+    distributions._normal_tables.cache_clear()
+    yield
+    distributions._normal_tables.cache_clear()
+
+
+@pytest.mark.parametrize("layer", [2, 128, 255])
+def test_corrupted_table_turns_the_vector_path_off(
+    monkeypatch, fresh_tables, reference_config, layer
+):
+    portfolio = reference_config.portfolio
+    cfg = SimulationConfig(iterations=1500, master_seed=42)
+    expected = run_simulation(portfolio, cfg).outcomes
+    assert distributions._normal_tables() is not None
+    distributions._normal_tables.cache_clear()
+    wi = list(_ziggurat.WI)
+    wi[layer] = float(np.nextafter(wi[layer], 1.0))  # one ulp off
+    monkeypatch.setattr(_ziggurat, "WI", tuple(wi))
+    assert distributions._normal_tables() is None
+    assert vector_sampler(Lognormal(1.0, 0.5)) is None
+    assert vector_sampler(Pert(0.0, 0.5, 1.0)) is None
+    assert vector_sampler(Uniform(0.0, 1.0)) is not None
+    assert run_simulation(portfolio, cfg).outcomes == expected
+
+
+def test_commands_that_draw_nothing_never_load_the_table(reference_config_path):
+    # A fresh interpreter, so no earlier test has loaded the table.
+    code = (
+        "import contextlib, io, sys\n"
+        "from airoi import cli\n"
+        "for command in ('validate', 'evaluate', 'delta'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert cli.main([command, {str(reference_config_path)!r}]) == 0\n"
+        "print('airoi._ziggurat' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
