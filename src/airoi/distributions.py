@@ -682,26 +682,24 @@ def _normal_tables():
 class VectorSampler(NamedTuple):
     """Exact vector draws of one quantity from 64-bit outputs.
 
-    ``values(outputs)`` maps an array (rows, width) of consecutive outputs
-    to ``(draws, exact)``, and ``sums(outputs)`` maps (rows, n, width) to
-    ``(sums of n draws, exact)``.  Where ``exact`` holds, a draw equals what
-    :func:`make_sampler` returns, and a sum what :func:`make_batch_sampler`
-    returns, from a generator whose next outputs these are.  The other rows
-    hold filler and must be drawn on the positioned path, as must batches
-    of more than ``max_events`` draws.
+    ``sums(outputs)`` maps an array (rows, n, width) of consecutive outputs
+    to ``(sums of n draws, exact)``; a value, one event a year, is a sum of
+    one draw.  Where ``exact`` holds, a sum equals what
+    :func:`make_batch_sampler` returns from a generator whose next outputs
+    these are.  The other rows hold filler and must be drawn on the
+    positioned path, as must batches of more than ``max_events`` draws.
     """
 
     width: int
     max_events: int
-    values: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     sums: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def vector_sampler(q: UncertainQuantity) -> VectorSampler | None:
     """The vector path of a non-degenerate ``q``, or None if it has none.
 
-    Uniform and triangular values are numpy's transforms of one
-    ``random()`` double.  Lognormal values use one normal, PERT values one
+    Uniform and triangular draws are numpy's transforms of one
+    ``random()`` double.  Lognormal draws use one normal, PERT draws one
     beta, drawn with numpy's rejection samplers on the draws that need no
     second try.  None for PERT with a shape of exactly 1 (mode at an end),
     which numpy draws as an exponential, and for lognormal and PERT when
@@ -735,67 +733,47 @@ def _vector_sampler(q: UncertainQuantity) -> VectorSampler | None:
     if isinstance(q, Lognormal):
         median, sigma = q.median, q.sigma
 
-        def exponentials(outputs):
-            """exp(sigma z) per normal, as rows x draws, and which rows are exact."""
+        def sums(outputs):
             # math.exp, as the scalar path: numpy's exp can differ in the last
             # bit.  Rows that are not exact take exp(0), so raise no OverflowError.
             z, exact = _standard_normals(outputs.reshape(outputs.shape[0], -1), _normal_tables())
             exact = exact.all(axis=1)
             flat = np.where(exact[:, None], sigma * z, 0.0).ravel().tolist()
-            return np.fromiter(map(math.exp, flat), float, len(flat)).reshape(z.shape), exact
-
-        def values(outputs):
-            e, exact = exponentials(outputs)
-            with np.errstate(over="ignore"):
-                return median * e[:, 0], exact
-
-        def sums(outputs):
+            e = np.fromiter(map(math.exp, flat), float, len(flat)).reshape(z.shape)
             # The reference's form for n <= 8: sequential adds from 0.0.
-            e, exact = exponentials(outputs)
             total = e[:, 0].copy()
             with np.errstate(over="ignore"):
                 for j in range(1, e.shape[1]):
                     total += e[:, j]
                 return median * total, exact
 
-        return VectorSampler(1, _MAX_WORD_EVENTS, values, sums)
+        return VectorSampler(1, _MAX_WORD_EVENTS, sums)
     if isinstance(q, Pert):
         lo, width = q.lo, q.hi - q.lo
         shapes = (1.0 + 4.0 * (q.mode - q.lo) / width, 1.0 + 4.0 * (q.hi - q.mode) / width)
         if 1.0 in shapes:
             return None
 
-        def betas(outputs):
-            """Betas as rows x draws, four outputs each, and which rows are exact."""
-            beta, exact = _betas(shapes, outputs.reshape(outputs.shape[0], -1, 4), _normal_tables())
-            return beta, exact.all(axis=1)
-
-        def values(outputs):
-            beta, exact = betas(outputs)
-            return lo + width * beta[:, 0], exact
-
         def sums(outputs):
-            beta, exact = betas(outputs)
+            # Four outputs per beta.
+            beta, exact = _betas(shapes, outputs.reshape(outputs.shape[0], -1, 4), _normal_tables())
             with np.errstate(over="ignore", invalid="ignore"):
                 # numpy's per-row sum, as the batch's 1-D sum.
-                return lo * beta.shape[1] + width * beta.sum(axis=1), exact
+                return lo * beta.shape[1] + width * beta.sum(axis=1), exact.all(axis=1)
 
-        return VectorSampler(4, _MAX_WORD_EVENTS, values, sums)
+        return VectorSampler(4, _MAX_WORD_EVENTS, sums)
     return None
 
 
 def _from_doubles(transform) -> VectorSampler:
     """The sampler of a family numpy draws from one ``random()`` double: always exact."""
 
-    def values(outputs):
-        return transform(_doubles(outputs[:, 0])), np.ones(outputs.shape[0], dtype=bool)
-
     def sums(outputs):
         # numpy's per-row sum, as batch draws sum.
         draws = transform(_doubles(outputs[..., 0]))
         return draws.sum(axis=1), np.ones(outputs.shape[0], dtype=bool)
 
-    return VectorSampler(1, _MAX_UNIFORM_EVENTS, values, sums)
+    return VectorSampler(1, _MAX_UNIFORM_EVENTS, sums)
 
 
 def sample(q: UncertainQuantity, rng: "RngStream | np.random.Generator") -> float:

@@ -25,10 +25,12 @@ from .benefits import BenefitItem
 from .costs import CapexItem, CostRules, OpexItem
 from .distributions import (
     SEED_LIMIT,
+    PointRate,
     StreamUniforms,
     SubstreamSampler,
     count_draws,
     degenerate_value,
+    frequency_mean,
     is_degenerate,
     make_batch_sampler,
     make_count_sampler,
@@ -306,41 +308,72 @@ def risk_stream_key(scenario_id: str, state: str) -> str:
     return f"risk:{scenario_id}:{state}"
 
 
-class _Plan:
-    """Per-run plan: each input's id, stream words and quantity, resolved once.
+# A benefit, capex or opex value is a stream of exactly one event a year
+# (the collective risk model with N = 1); its count consumes no output.
+_ONE_EVENT = PointRate(1.0)
 
-    Inputs that draw nothing (degenerate quantities) carry words=None.
+
+class _Plan:
+    """Per-run plan: every input as a (stream words, frequency, quantity) stream.
+
+    A stream's annual total is the sum of one frequency draw's count of
+    quantity draws.  ``benefits`` and ``costs`` map item ids to value
+    streams, which have one event a year; ``risks`` maps scenario ids to
+    their (current, AI) loss streams, None where a state does not apply.
+    Words are derived only with a ``master_seed``: a plan read at its means
+    draws nothing.
     """
 
-    __slots__ = ("portfolio", "benefit_plan", "cost_plan", "risk_plan")
+    __slots__ = ("portfolio", "benefits", "costs", "risks")
 
-    def __init__(self, portfolio: Portfolio, master_seed: int):
+    def __init__(self, portfolio: Portfolio, master_seed: int | None = None):
         self.portfolio = portfolio
 
-        def entry(item_id: str, quantity, key: str):
-            words = None if is_degenerate(quantity) else stream_words(master_seed, key)
-            return item_id, words, quantity
+        def stream(key: str, freq, quantity):
+            if freq is None:  # a risk state that does not apply
+                return None
+            words = None if master_seed is None else stream_words(master_seed, key)
+            return words, freq, quantity
 
-        self.benefit_plan = [
-            entry(item.id, item.annual_value, benefit_stream_key(item.id))
+        self.benefits = {
+            item.id: stream(benefit_stream_key(item.id), _ONE_EVENT, item.annual_value)
             for item in portfolio.benefits
-        ]
-        self.cost_plan = [
-            entry(item.id, item.amount, capex_stream_key(item.id)) for item in portfolio.capex
-        ] + [
-            entry(item.id, item.annual_amount, opex_stream_key(item.id)) for item in portfolio.opex
-        ]
-        # Risk plan: per scenario, (state, words, frequency, severity) for
-        # each applicable state.
-        self.risk_plan = []
-        for scenario in portfolio.register.scenarios:
-            states = []
-            for state in ("current", "ai"):
-                freq = scenario.frequency_for(state)
-                if freq is not None:
-                    words = stream_words(master_seed, risk_stream_key(scenario.id, state))
-                    states.append((state, words, freq, scenario.sle))
-            self.risk_plan.append((scenario.id, tuple(states)))
+        }
+        self.costs = {
+            item.id: stream(capex_stream_key(item.id), _ONE_EVENT, item.amount)
+            for item in portfolio.capex
+        }
+        self.costs.update(
+            (item.id, stream(opex_stream_key(item.id), _ONE_EVENT, item.annual_amount))
+            for item in portfolio.opex
+        )
+        self.risks = {
+            scenario.id: tuple(
+                stream(
+                    risk_stream_key(scenario.id, state), scenario.frequency_for(state), scenario.sle
+                )
+                for state in risk_mod.STATES
+            )
+            for scenario in portfolio.register.scenarios
+        }
+
+
+def _plan_columns(plan: _Plan, n: int, column) -> SimulationResult:
+    """Rows of ``n`` iterations from ``column(words, freq, quantity)`` of each stream.
+
+    A risk state that does not apply loses nothing.
+    """
+
+    def columns(streams: dict) -> dict[str, np.ndarray]:
+        return {item_id: column(*stream) for item_id, stream in streams.items()}
+
+    scenario_losses = {
+        scenario_id: tuple(np.zeros(n) if stream is None else column(*stream) for stream in states)
+        for scenario_id, states in plan.risks.items()
+    }
+    return _assemble_columns(
+        plan.portfolio, n, columns(plan.benefits), columns(plan.costs), scenario_losses
+    )
 
 
 def _matrix(row: Sequence, n: int) -> np.ndarray:
@@ -413,55 +446,36 @@ def _assemble_columns(
 # Stream-major kernel
 #
 # Each (stream, iteration) pair owns its own Philox counter block, so a
-# stream can be drawn for every iteration of a block at once.  Uniform,
-# triangular, lognormal and PERT values, point-rate thinning and Poisson
-# counts below rate 10 are computed from vectorized Philox output with
-# numpy's own arithmetic (distributions.vector_sampler).  A draw numpy
-# makes by a second try of its rejection sampler, a PERT with a shape of 1,
-# a long severity batch and a Poisson count at rate 10 or more keep one
-# positioned generator per (stream, iteration).
-# The drawn columns then go through _assemble_columns, the same code that
-# evaluates the analytic means.
+# stream can be drawn for every iteration of a block at once.  Every input
+# is a stream of events, values included (one event a year), so one draw
+# path serves them all.  Uniform, triangular, lognormal and PERT draws,
+# point-rate thinning and Poisson counts below rate 10 are computed from
+# vectorized Philox output with numpy's own arithmetic
+# (distributions.vector_sampler).  A draw numpy makes by a second try of its
+# rejection sampler, a PERT with a shape of 1, a long severity batch and a
+# Poisson count at rate 10 or more keep one positioned generator per
+# (stream, iteration).  The drawn columns go through _plan_columns, which
+# also reads the analytic means.
 # ---------------------------------------------------------------------------
 
 
-def _draw_values(
-    quantity, words, sampler: SubstreamSampler, start: int, stop: int
+def _draw_stream(
+    words, freq, quantity, sampler: SubstreamSampler, start: int, stop: int
 ) -> np.ndarray:
-    """One draw of ``quantity`` per iteration in ``[start, stop)``."""
-    n = stop - start
-    if words is None:
-        return np.full(n, degenerate_value(quantity), dtype=float)
-    vector = vector_sampler(quantity)
-    if vector is None:
-        values, scalar_rows = np.empty(n), range(n)
-    else:
-        outputs = StreamUniforms(words, start, stop).outputs(
-            np.arange(n), np.zeros(n, dtype=np.int64), vector.width
-        )
-        values, exact = vector.values(outputs)
-        scalar_rows = np.flatnonzero(~exact).tolist()
-    draw = make_sampler(quantity)
-    at = sampler.at
-    for row in scalar_rows:
-        values[row] = draw(at(words, start + row))
-    return values
+    """One stream's annual total per iteration: a value's draw or a risk state's loss.
 
-
-def _draw_losses(
-    freq, severity, words, sampler: SubstreamSampler, start: int, stop: int
-) -> np.ndarray:
-    """One state's annual loss per iteration, consuming the stream as ale_simulate does."""
+    Consumes the stream as ``sample`` and ``ale_simulate`` do.
+    """
     uniforms = StreamUniforms(words, start, stop)
     drawn = count_draws(freq, uniforms)
-    losses = np.zeros(stop - start)
+    totals = np.zeros(stop - start)
     if drawn is None:
         scalar_rows = range(stop - start)
     else:
         counts, consumed = drawn
-        if is_degenerate(severity):
-            return np.where(counts > 0, degenerate_value(severity) * counts, 0.0)
-        vector = vector_sampler(severity)
+        if is_degenerate(quantity):
+            return np.where(counts > 0, degenerate_value(quantity) * counts, 0.0)
+        vector = vector_sampler(quantity)
         if vector is None:
             scalar_rows = np.flatnonzero(counts).tolist()
         else:
@@ -470,62 +484,32 @@ def _draw_losses(
                 rows = np.flatnonzero(counts == count)
                 outputs = uniforms.outputs(rows, consumed[rows], int(count) * vector.width)
                 sums, exact = vector.sums(outputs.reshape(rows.size, int(count), vector.width))
-                losses[rows] = sums
+                totals[rows] = sums
                 misses.append(rows[~exact])
             scalar_rows = np.concatenate(misses).tolist()
     count_draw = make_count_sampler(freq)
-    severity_batch = make_batch_sampler(severity)
+    draw = make_sampler(quantity)
+    batch = make_batch_sampler(quantity)
     at = sampler.at
     for row in scalar_rows:
         gen = at(words, start + row)
         count = count_draw(gen)
-        losses[row] = severity_batch(gen, count) if count else 0.0
-    return losses
-
-
-def _simulate_block(
-    plan: _Plan, sampler: SubstreamSampler, start: int, stop: int
-) -> SimulationResult:
-    def draw(entries) -> dict[str, np.ndarray]:
-        return {
-            item_id: _draw_values(quantity, words, sampler, start, stop)
-            for item_id, words, quantity in entries
-        }
-
-    n = stop - start
-    scenario_losses: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for scenario_id, states in plan.risk_plan:
-        losses = {"current": np.zeros(n), "ai": np.zeros(n)}
-        for state, words, freq, severity in states:
-            losses[state] = _draw_losses(freq, severity, words, sampler, start, stop)
-        scenario_losses[scenario_id] = (losses["current"], losses["ai"])
-    return _assemble_columns(
-        plan.portfolio, n, draw(plan.benefit_plan), draw(plan.cost_plan), scenario_losses
-    )
+        # One draw has a batch of one's bits without numpy's array overhead.
+        totals[row] = draw(gen) if count == 1 else batch(gen, count) if count else 0.0
+    return totals
 
 
 def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
-    """Deterministic evaluation with every sample replaced by its mean."""
+    """Deterministic evaluation with every sample replaced by its mean.
 
-    def column(value: float) -> np.ndarray:
-        return np.full(1, value)
+    Each stream reads ``mean(quantity) * frequency_mean(freq)``: a value's
+    mean, and a risk state's ``ale_analytic``.
+    """
 
-    cost_values = {item.id: column(mean(item.amount)) for item in portfolio.capex}
-    cost_values.update({item.id: column(mean(item.annual_amount)) for item in portfolio.opex})
-    block = _assemble_columns(
-        portfolio,
-        1,
-        {item.id: column(mean(item.annual_value)) for item in portfolio.benefits},
-        cost_values,
-        {
-            scenario.id: (
-                column(risk_mod.ale_analytic(scenario, "current")),
-                column(risk_mod.ale_analytic(scenario, "ai")),
-            )
-            for scenario in portfolio.register.scenarios
-        },
-    )
-    return block.outcomes[0]
+    def column(words, freq, quantity) -> np.ndarray:
+        return np.full(1, mean(quantity) * frequency_mean(freq))
+
+    return _plan_columns(_Plan(portfolio), 1, column).outcomes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +522,12 @@ def _run_chunk(
 ) -> SimulationResult:
     plan = _Plan(portfolio, master_seed)
     sampler = SubstreamSampler()
+
+    def block(lo: int, hi: int) -> SimulationResult:
+        return _plan_columns(plan, hi - lo, lambda *stream: _draw_stream(*stream, sampler, lo, hi))
+
     return SimulationResult.concat(
-        [
-            _simulate_block(plan, sampler, lo, min(lo + _KERNEL_BLOCK, stop))
-            for lo in range(start, stop, _KERNEL_BLOCK)
-        ]
+        [block(lo, min(lo + _KERNEL_BLOCK, stop)) for lo in range(start, stop, _KERNEL_BLOCK)]
     )
 
 

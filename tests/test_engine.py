@@ -17,6 +17,7 @@ from airoi.distributions import (
     RngStream,
     Triangular,
     Uniform,
+    mean,
     percentile,
     sample,
     scaled,
@@ -39,7 +40,7 @@ from airoi.engine import (
     validate_portfolio,
     validate_simulation,
 )
-from airoi.risk import RiskRegister, RiskScenario, ale_simulate
+from airoi.risk import RiskRegister, RiskScenario, ale_analytic, ale_simulate
 from airoi.valuation import DiscountSpec, evaluate_outcome
 
 
@@ -620,11 +621,28 @@ def _pipeline_outcome(portfolio: Portfolio, seed: int, index: int):
 
 def test_random_portfolios_satisfy_core_invariants():
     # Seeded sweep over random model shapes: the identity, the delta split,
-    # and degenerate-free summaries must hold for all of them, and every
-    # outcome must equal the module pipeline's for the same (seed, iteration).
+    # and degenerate-free summaries must hold for all of them, every
+    # outcome must equal the module pipeline's for the same (seed, iteration),
+    # and the analytic run must read each stream at its mean.
     gen = RngStream(20_240_809, "fuzz", 0).generator
     for _ in range(40):
         portfolio = _random_portfolio(gen)
+        analytic = analytic_evaluate(portfolio)
+        benefit_means = {item.id: mean(item.annual_value) for item in portfolio.benefits}
+        cost_means = {item.id: mean(item.amount) for item in portfolio.capex}
+        cost_means.update({item.id: mean(item.annual_amount) for item in portfolio.opex})
+        loss_means = {
+            s.id: (ale_analytic(s, "current"), ale_analytic(s, "ai"))
+            for s in portfolio.register.scenarios
+        }
+        for values, means in (
+            (analytic.benefit_values, benefit_means),
+            (analytic.cost_values, cost_means),
+            (analytic.scenario_losses, loss_means),
+        ):
+            assert values.keys() == means.keys()
+            for key, value in means.items():
+                assert values[key] == value
         result = run_simulation(portfolio, SimulationConfig(iterations=60, master_seed=3))
         assert [o.index for o in result.outcomes] == list(range(60))
         horizon = portfolio.horizon_years

@@ -1,8 +1,11 @@
 """The vector draws read from Philox outputs against numpy's own generator.
 
 Every vector draw must equal, bit for bit, what the positioned scalar path
-(``SubstreamSampler.at`` with ``make_sampler`` / ``make_batch_sampler``)
-returns for the same (stream, iteration).
+(``SubstreamSampler.at`` with ``make_batch_sampler``) returns for the same
+(stream, iteration).  A value is a stream of one event a year, so its
+vector draw is a sum of one draw, checked against ``make_sampler``; a
+batch of one has ``make_sampler``'s bits, which lets the positioned path
+draw a one-event row with either.
 """
 
 import os
@@ -17,6 +20,7 @@ from airoi import _ziggurat, distributions
 from airoi.distributions import (
     Lognormal,
     Pert,
+    Point,
     StreamUniforms,
     SubstreamSampler,
     Triangular,
@@ -100,6 +104,56 @@ def _quantities(rng):
     return quantities
 
 
+def test_a_batch_of_one_is_a_single_draw():
+    # Every family, degenerate members and PERT shapes of 1 included, after
+    # 0-5 earlier draws: a batch of one has the single draw's bits and leaves
+    # the generator where the single draw leaves it.
+    rng = np.random.default_rng(9)
+    quantities = _quantities(rng) + [
+        Point(3.5),
+        Point(-0.0),
+        Uniform(2.0, 2.0),
+        Triangular(-1.0, -1.0, -1.0),
+        Pert(4.0, 4.0, 4.0),
+        Lognormal(5.0, 0.0),
+        Uniform(-0.0, 1.0),
+        Triangular(0.0, 0.0, 1.0),
+        Triangular(0.0, 1.0, 1.0),
+        Pert(0.0, 0.0, 1.0),
+        Pert(0.0, 1.0, 1.0),
+    ]
+    for _ in range(4):
+        quantities.append(Uniform(*sorted(rng.uniform(-1e6, 1e6, size=2).tolist())))
+        quantities.append(Triangular(*sorted(rng.uniform(-1e6, 1e6, size=3).tolist())))
+    quantities += [
+        Uniform(-5e307, 5e307),
+        Uniform(0.0, 1e-300),
+        Triangular(-1e307, 0.0, 1e307),
+        Lognormal(1e-300, 0.5),
+        Pert(-1.0, 0.0, 0.0),
+    ]
+    sampler = SubstreamSampler()
+
+    def drawn(words, skips, sampled):
+        """Per iteration: the draw after ``skips[i]`` doubles, and the next two outputs."""
+        values, positions = [], []
+        for i, skip in enumerate(skips):
+            gen = sampler.at(words, i)
+            gen.random(skip)
+            values.append(sampled(gen))
+            positions.append(gen.bit_generator.random_raw(2).tolist())
+        return _bits(values), positions
+
+    for quantity in quantities:
+        batch = make_batch_sampler(quantity)
+        words = stream_words(int(rng.integers(2**63)), "one")
+        skips = rng.integers(0, 6, size=3000).tolist()
+        single_bits, single_positions = drawn(words, skips, make_sampler(quantity))
+        batch_bits, batch_positions = drawn(words, skips, lambda gen: batch(gen, 1))
+        assert (batch_bits == single_bits).all(), quantity
+        assert batch_positions == single_positions, quantity
+
+
 def test_lognormal_and_pert_values_match_the_positioned_path():
     rng = np.random.default_rng(7)
     sampler = SubstreamSampler()
@@ -111,7 +165,7 @@ def test_lognormal_and_pert_values_match_the_positioned_path():
         outputs = StreamUniforms(words, start, start + rows).outputs(
             np.arange(rows), np.zeros(rows, dtype=np.int64), vector.width
         )
-        values, exact = vector.values(outputs)
+        values, exact = vector.sums(outputs[:, None, :])
         draw = make_sampler(quantity)
         reference = [draw(sampler.at(words, start + i)) for i in range(rows)]
         assert (_bits(values[exact]) == _bits(reference)[exact]).all()
@@ -140,6 +194,25 @@ def test_lognormal_and_pert_batches_match_the_positioned_path():
                 reference.append(batch(gen, n))
             assert (_bits(sums[exact]) == _bits(reference)[exact]).all()
             assert exact.any()
+
+
+def test_reference_run_keeps_its_positioned_draw_budget(monkeypatch, reference_config):
+    # Values and most severities draw as vectors.  A value path that fell
+    # back to positioned draws would raise the count; the self-check's own
+    # positioned draws are made before counting starts.
+    assert distributions._normal_tables() is not None
+    calls = 0
+    at = SubstreamSampler.at
+
+    def counted(self, words, iteration_index):
+        nonlocal calls
+        calls += 1
+        return at(self, words, iteration_index)
+
+    monkeypatch.setattr(SubstreamSampler, "at", counted)
+    cfg = SimulationConfig(iterations=10_000, master_seed=42, worker_count=1)
+    run_simulation(reference_config.portfolio, cfg)
+    assert 0 < calls <= 5_904
 
 
 def test_vector_paths_cover_the_families_numpy_draws_without_a_second_try():
