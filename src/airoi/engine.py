@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -56,12 +55,12 @@ ENGINE_METRICS = (
 _ROW_FIELDS = ENGINE_METRICS + ("cash_flows", "cash_basis_flows", "tco_per_year")
 
 _EARLY_STOP_BLOCK = 1000
+# Iterations per kernel pass, whole early-stop steps: bounds the scratch arrays.
+_KERNEL_BLOCK = 4 * _EARLY_STOP_BLOCK
 # Most iterations one run may ask for.
 MAX_ITERATIONS = 10**8
 # Longest planning horizon accepted, in years.
 MAX_HORIZON_YEARS = 200
-# Iterations per kernel pass: bounds the per-stream scratch arrays.
-_KERNEL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -144,13 +143,14 @@ class SimulationResult:
     scenario_losses: dict[str, tuple[np.ndarray, np.ndarray]]
 
     @classmethod
-    def concat(cls, parts: Sequence["SimulationResult"]) -> "SimulationResult":
-        """Stack consecutive iteration blocks."""
-        if len(parts) == 1:
+    def concat(cls, parts: Sequence["SimulationResult"], rows: int) -> "SimulationResult":
+        """The first ``rows`` rows of consecutive iteration blocks."""
+        if len(parts) == 1 and rows == len(parts[0]):
             return parts[0]
 
         def stack(arrays) -> np.ndarray:
-            return np.concatenate(list(arrays))
+            stacked = np.concatenate(list(arrays))
+            return stacked[:rows] if rows < len(stacked) else stacked
 
         first = parts[0]
         return cls(
@@ -517,18 +517,11 @@ def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _run_chunk(
-    portfolio: Portfolio, master_seed: int, start: int, stop: int
-) -> SimulationResult:
+def _run_block(portfolio: Portfolio, master_seed: int, start: int, stop: int) -> SimulationResult:
+    """Rows ``start`` to ``stop`` of a run, drawn in one kernel pass."""
     plan = _Plan(portfolio, master_seed)
     sampler = SubstreamSampler()
-
-    def block(lo: int, hi: int) -> SimulationResult:
-        return _plan_columns(plan, hi - lo, lambda *stream: _draw_stream(*stream, sampler, lo, hi))
-
-    return SimulationResult.concat(
-        [block(lo, min(lo + _KERNEL_BLOCK, stop)) for lo in range(start, stop, _KERNEL_BLOCK)]
-    )
+    return _plan_columns(plan, stop - start, lambda *s: _draw_stream(*s, sampler, start, stop))
 
 
 def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationResult:
@@ -536,10 +529,11 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
 
     Outcome ``i`` depends only on the master seed, the item stream keys,
     and ``i`` itself; worker count changes scheduling, never results, so
-    no more workers run than the host has CPUs.  With
-    ``target_relative_se`` set, evaluation proceeds in fixed blocks and
-    stops once the net-benefit standard error is small enough relative to
-    its mean, which keeps early stopping deterministic too.
+    no more workers run than the host has CPUs.  Every run walks one list
+    of blocks, serially or on a pool: each is whole 1000-iteration steps
+    and at most one kernel pass.  With ``target_relative_se`` set, the run
+    stops after the first step whose net-benefit standard error is small
+    enough relative to its mean, which keeps early stopping deterministic.
     """
     errors, _ = validate_portfolio(portfolio)
     errors += validate_simulation(cfg)
@@ -547,30 +541,30 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
         raise ValueError("invalid simulation input: " + "; ".join(errors))
     cpus = os.cpu_count() or 1
     workers = min(cfg.worker_count or cpus, cpus)
-    target = cfg.target_relative_se
-    step = cfg.iterations if target is None else _EARLY_STOP_BLOCK
-
+    steps = -(-cfg.iterations // _EARLY_STOP_BLOCK)
+    # Blocks are as long as the fewest passes, a multiple of the worker count, need;
+    # only the last is short (3000/4000-row blocks cost 1.3 MB of peak RSS at 3x10^4).
+    passes = workers * -(-steps // (workers * (_KERNEL_BLOCK // _EARLY_STOP_BLOCK)))
+    bounds = [*range(0, cfg.iterations, -(-steps // passes) * _EARLY_STOP_BLOCK), cfg.iterations]
+    run_block = partial(_run_block, portfolio, cfg.master_seed)
+    stop_rule = None if cfg.target_relative_se is None else _StopRule(cfg.target_relative_se, steps)
+    workers = min(workers, len(bounds) - 1)
     blocks: list[SimulationResult] = []
-    stop_rule = None if target is None else _StopRule(target)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for start in range(0, cfg.iterations, step):
-            stop = min(start + step, cfg.iterations)
-            if pool is None or stop - start < 2 * workers:
-                block = _run_chunk(portfolio, cfg.master_seed, start, stop)
-            else:
-                # One chunk per worker: a block can be smaller than one kernel block.
-                bounds = [start + round(i * (stop - start) / workers) for i in range(workers + 1)]
-                futures = [
-                    pool.submit(_run_chunk, portfolio, cfg.master_seed, lo, hi)
-                    for lo, hi in zip(bounds, bounds[1:])
-                ]
-                block = SimulationResult.concat([future.result() for future in futures])
+    rows = cfg.iterations
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        walk = map if pool is None else pool.map
+        for start, block in zip(bounds, walk(run_block, bounds, bounds[1:])):
             blocks.append(block)
-            if stop_rule is not None and stop_rule.reached(
-                block.gross_benefits + block.risk_reduction - block.risk_increase - block.tco_total
-            ):
+            if stop_rule is not None and (kept := stop_rule.stop(block)) is not None:
+                rows = start + kept
                 break
-    return SimulationResult.concat(blocks)
+        # Stacked before the shutdown: stacking after it raised a pooled run's peak RSS.
+        result = SimulationResult.concat(blocks, rows)
+    finally:
+        if pool is not None:  # blocks queued past a stop or a failure never run
+            pool.shutdown(cancel_futures=True)
+    return result
 
 
 def _gamma(k: int) -> float:
@@ -595,19 +589,19 @@ def _exact_partials(values: list[float]) -> list[float]:
 class _StopRule:
     """Early stopping on the net benefit, in time linear in the run length.
 
-    After each block, :meth:`reached` answers ``standard_error(nets) /
-    abs(mean) <= target`` over every net so far, where ``mean`` is
-    ``math.fsum(nets) / n``, and answers it as that expression would:
+    After each 1000-iteration step, :meth:`reached` answers
+    ``standard_error(nets) / abs(mean) <= target`` over every net so far,
+    where ``mean`` is ``math.fsum(nets) / n``, as that expression would:
 
     - The sum is kept as exact partials, so the mean has ``fsum``'s bits.
-    - The ratio is first bounded from each block's numpy two-pass
+    - The ratio is first bounded from each step's numpy two-pass
       statistics (count, mean, squared deviations, absolute sum).  With
-      ``c`` the mean, Q = sum (x - c)^2 splits by block as
+      ``c`` the mean, Q = sum (x - c)^2 splits by step as
       sum_b [M_b + n_b (m_b - c)^2 + 2 (m_b - c) D_b], where
       D_b = sum_b x - n_b m_b.  A sum of k floats in any order errs by at
       most gamma_(k-1) times the sum of magnitudes (Higham 2002, ch. 4),
       so |D_b| <= gamma_(n_b) A_b, M_b and the squares carry gamma_(n_b+2)
-      relative, and the sum over blocks adds gamma_(blocks).
+      relative, and the sum over steps adds gamma_(steps).
       ``standard_error``'s own roundings (fsum of rounded squares, two
       square roots, three divisions) stay within gamma_8 of sqrt(Q).
     - Only when those bounds straddle the target does the exact
@@ -620,15 +614,23 @@ class _StopRule:
 
     _LIMIT = 2.0**480
 
-    def __init__(self, target: float):
+    def __init__(self, target: float, steps: int):
         self.target = target
         self._nets: list[np.ndarray] = []
         self._n = 0
         self._partials: list[float] = []
-        # Per block: n_b, m_b, M_b, A_b; grown by doubling.
-        self._stats = np.empty((16, 4))
-        self._blocks = 0
+        # Per step: n_b, m_b, M_b, A_b.
+        self._stats = np.empty((steps, 4))
+        self._steps = 0
         self._exact_only = False
+
+    def stop(self, block: SimulationResult) -> int | None:
+        """Rows of ``block`` up to the first step that meets the target, or None."""
+        nets = block.gross_benefits + block.risk_reduction - block.risk_increase - block.tco_total
+        for lo in range(0, nets.size, _EARLY_STOP_BLOCK):
+            if self.reached(nets[lo : lo + _EARLY_STOP_BLOCK]):
+                return min(lo + _EARLY_STOP_BLOCK, nets.size)
+        return None
 
     def reached(self, nets: np.ndarray) -> bool:
         """Whether the nets so far, these appended, meet the target."""
@@ -640,29 +642,27 @@ class _StopRule:
             net_mean = math.fsum(every) / self._n
             return self._n >= 2 and net_mean != 0 and self._exact_ratio(every, net_mean)
         self._partials = _exact_partials(self._partials + nets.tolist())
-        block_mean = nets.sum() / nets.size
-        deviations = nets - block_mean
-        if self._blocks == len(self._stats):
-            self._stats = np.concatenate([self._stats, np.empty_like(self._stats)])
-        self._stats[self._blocks] = (
+        step_mean = nets.sum() / nets.size
+        deviations = nets - step_mean
+        self._stats[self._steps] = (
             nets.size,
-            block_mean,
+            step_mean,
             (deviations * deviations).sum(),
             np.abs(nets).sum(),
         )
-        self._blocks += 1
+        self._steps += 1
         n = self._n
         net_mean = math.fsum(self._partials) / n
         if n < 2 or net_mean == 0:
             return False
 
-        counts, means, squares, magnitudes = self._stats[: self._blocks].T
+        counts, means, squares, magnitudes = self._stats[: self._steps].T
         shift = means - net_mean
         q = float((squares + counts * (shift * shift)).sum())
         widest = int(counts.max())
         cross = float((np.abs(shift) * magnitudes).sum())
         q_error = (
-            _gamma(widest + 7 + self._blocks) * q
+            _gamma(widest + 7 + self._steps) * q
             + 2 * _gamma(widest + 1) * cross
             + n * 2.0**-1070
         )

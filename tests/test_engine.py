@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing
 from concurrent.futures import Executor, Future
 
 import numpy as np
@@ -112,10 +113,10 @@ def test_same_seed_repeats_bit_identically():
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
-    # A stand-in executor runs each submitted chunk inline, so no process
+    # A stand-in executor runs each submitted block inline, so no process
     # starts; the host is taken to have three CPUs.  A run asks for 100000
     # workers, uses three and builds one executor, also when early stopping
-    # at an unreachable target runs every 1000-iteration block.
+    # at an unreachable target, which walks the same blocks as a plain run.
     built, chunks = [], []
 
     class InlineExecutor(Executor):
@@ -132,26 +133,74 @@ def test_worker_count_does_not_change_results(monkeypatch):
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
     portfolio = small_portfolio()
     discount = DiscountSpec(portfolio.discount_rate)
-    # 8199 iterations: the serial run crosses the kernel's 4096-iteration
-    # blocks, and three workers split the range into chunks that are not
-    # kernel-aligned.
-    for iterations in (240, 8_199):
+    # 240 iterations are one block, which runs in process and builds no
+    # executor.  8199 iterations are nine 1000-iteration steps in three
+    # blocks, one per worker; 17500 are eighteen steps in six blocks, two per
+    # worker, the last one short.  No block is longer than one kernel pass.
+    for iterations, blocks in ((240, 1), (8_199, 3), (17_500, 6)):
         serial = run_simulation(
             portfolio, SimulationConfig(iterations=iterations, master_seed=5, worker_count=1)
         )
         assert built == []
-        for target, blocks in ((None, 1), (1e-12, math.ceil(iterations / 1000))):
+        for target in (None, 1e-12):
             parallel = run_simulation(
                 portfolio,
                 SimulationConfig(iterations, 5, worker_count=100_000, target_relative_se=target),
             )
-            assert (built, len(chunks)) == ([3], 3 * blocks)
+            assert (built, len(chunks)) == (([3], blocks) if blocks > 1 else ([], 0))
+            assert all(stop - start <= engine._KERNEL_BLOCK for start, stop in chunks)
             built.clear()
             chunks.clear()
             assert serial.outcomes == parallel.outcomes
         assert [o.index for o in parallel.outcomes] == list(range(iterations))
         valuations = [evaluate_outcome(o, discount) for o in serial.outcomes]
         assert [v.risk_delta for v in valuations] == serial.risk_delta.tolist()
+
+
+def test_early_stopping_walks_the_plain_blocks(monkeypatch):
+    # An unreachable target decides after every 1000-iteration step but
+    # draws the same kernel-sized blocks as the plain run, and the same rows.
+    handed = []
+    run_block = engine._run_block
+
+    def recorded(*args):
+        handed.append(args[-2:])
+        return run_block(*args)
+
+    monkeypatch.setattr(engine, "_run_block", recorded)
+    portfolio = small_portfolio()
+    runs = []
+    for target in (None, 1e-12):
+        handed.clear()
+        result = run_simulation(portfolio, SimulationConfig(10_000, 4, target_relative_se=target))
+        runs.append((list(handed), result.gross_benefits.tolist()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == [(0, 4_000), (4_000, 8_000), (8_000, 10_000)]
+
+
+def test_real_worker_pool_matches_the_serial_run(monkeypatch):
+    # Two worker processes over four 3000-iteration blocks, once plainly and
+    # once stopping at a target met partway through the second block; no
+    # worker outlives the run.  The host is taken to have two CPUs, so the
+    # pool starts on any.
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    portfolio = small_portfolio()
+    iterations = 12_000
+    serial = run_simulation(portfolio, SimulationConfig(iterations, 3))
+    nets = (
+        serial.gross_benefits + serial.risk_reduction - serial.risk_increase - serial.tco_total
+    ).tolist()
+    ratios = [
+        standard_error(nets[:n]) / abs(math.fsum(nets[:n]) / n) for n in range(1_000, 5_001, 1_000)
+    ]
+    assert min(ratios[:4]) > ratios[4]
+    for target, rows in ((None, iterations), (ratios[4], 5_000)):
+        pooled = run_simulation(
+            portfolio, SimulationConfig(iterations, 3, worker_count=2, target_relative_se=target)
+        )
+        assert multiprocessing.active_children() == []
+        assert len(pooled) == rows
+        assert pooled.outcomes == serial.outcomes[:rows]
 
 
 def test_outcomes_reproducible_from_named_streams():
@@ -413,9 +462,9 @@ def test_early_stop_quantizes_to_blocks():
     assert len(result.outcomes) == 1_000
     full = run_simulation(portfolio, SimulationConfig(iterations=1_000, master_seed=1))
     assert result.outcomes == full.outcomes
-    # An unreachable target runs every 1000-iteration block, the last one
-    # partial; serially or split over workers, the blocks must reproduce
-    # one uninterrupted run.
+    # An unreachable target decides after every 1000-iteration step, the
+    # last one partial; serially or split over workers, the blocks must
+    # reproduce one uninterrupted run.
     portfolio = small_portfolio()
     full = run_simulation(portfolio, SimulationConfig(iterations=4_133, master_seed=8))
     for workers in (1, 3):
@@ -429,7 +478,7 @@ def test_early_stop_quantizes_to_blocks():
 
 
 class _InlineExecutor(Executor):
-    """Runs each submitted chunk inline, so a multi-worker run starts no process."""
+    """Runs each submitted block inline, so a multi-worker run starts no process."""
 
     def __init__(self, max_workers):
         pass
