@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
-from .distributions import (
-    Point,
-    Triangular,
-    UncertainQuantity,
-    mean,
-    validate,
-)
+from .quantities import Point, Triangular, UncertainQuantity, mean, validate
 
 BENEFIT_KINDS = (
     "productivity",

@@ -11,16 +11,15 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib.util
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, fields, replace
 from functools import cache
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
-import numpy as np
-
-from . import valuation as valuation_mod
 from .benefits import benefit_schedule
 from .config import (
     SEVERITY_ERROR,
@@ -31,19 +30,30 @@ from .config import (
     load_config,
 )
 from .costs import amortize_capex, schedule_csv_rows, tco as costs_tco
-from .distributions import percentile
-from .engine import (
-    ENGINE_METRICS,
-    Portfolio,
-    SampleSummary,
-    SimulationConfig,
-    SimulationResult,
-    analytic_evaluate,
-    run_simulation,
-    validate_simulation,
-)
+from .model import ENGINE_METRICS, Portfolio, SimulationConfig, validate_simulation
+from .quantities import percentile
 from .risk import delta_table
-from .valuation import DiscountSpec, ValuationColumns, ValuationReport
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .engine import IterationOutcome, SampleSummary, SimulationResult
+    from .valuation import ValuationColumns, ValuationReport
+
+
+def _lazy(name: str):
+    """This package's module ``name``, whose code runs on its first attribute read."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+# The sampling and valuation side, with numpy: only the commands that compute load it.
+engine = _lazy("engine")
+valuation_mod = _lazy("valuation")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -62,6 +72,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.handler in (cmd_validate, cmd_delta):  # they draw and value nothing
+            return args.handler(args)
+        import numpy as np
+
+        # Reading an attribute runs a lazy module's code.  numpy, the engine and
+        # valuation load before the config is read: loading them after it raised
+        # simulate's peak RSS by about 1 MB (allocator layout).
+        engine.run_simulation, valuation_mod.evaluate_outcome
         # Valid inputs can still carry a result past the float range: an
         # fsum overflows, inf - inf is nan, and JSON has no inf or nan.
         # That is reported once, below, rather than as numpy warnings.
@@ -223,8 +241,19 @@ def _body_hash(body: dict) -> str:
     return hashlib.sha256(_canonical_json(body).encode("utf-8")).hexdigest()
 
 
-def _valuations(result: SimulationResult, portfolio: Portfolio) -> ValuationColumns:
-    return valuation_mod.evaluate_outcome(result, DiscountSpec(portfolio.discount_rate))
+def _valuations(result: SimulationResult | IterationOutcome, portfolio: Portfolio):
+    discount = valuation_mod.DiscountSpec(portfolio.discount_rate)
+    return valuation_mod.evaluate_outcome(result, discount)
+
+
+# The engine's entry points under names of this module: the handlers call these,
+# so a tracer that wraps them sees every call.
+def run_simulation(portfolio: Portfolio, sim: SimulationConfig) -> SimulationResult:
+    return engine.run_simulation(portfolio, sim)
+
+
+def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
+    return engine.analytic_evaluate(portfolio)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +277,7 @@ def cmd_evaluate(args) -> int:
         return EXIT_VALIDATION
     portfolio = config.portfolio
     outcome = analytic_evaluate(portfolio)
-    valuation = valuation_mod.evaluate_outcome(outcome, DiscountSpec(portfolio.discount_rate))
+    valuation = _valuations(outcome, portfolio)
     if args.costs_csv:
         schedule = costs_tco(
             portfolio.capex, portfolio.opex, portfolio.cost_rules, portfolio.horizon_years
@@ -348,7 +377,7 @@ def _simulation_body(
 
 
 def _metric_csv_rows(report: ValuationReport) -> Iterator[list]:
-    yield ["metric", *(summary_field.name for summary_field in fields(SampleSummary)), "excluded"]
+    yield ["metric", *(field.name for field in fields(engine.SampleSummary)), "excluded"]
     for name in valuation_mod.REPORT_METRICS:
         summary = report.metrics.get(name)
         if summary is not None:
@@ -379,7 +408,7 @@ def cmd_delta(args) -> int:
     for scenario_id, classification, *values in delta_table(config.portfolio.register):
         totals = tuple(total + value for total, value in zip(totals, values))
         lines.append([scenario_id, classification, *(f"{value:.2f}" for value in values)])
-    if not np.isfinite(totals).all():
+    if not all(map(math.isfinite, totals)):
         raise ValueError(f"scenario ALE totals are not finite: {totals}")
     lines.append(["TOTAL", "", *(f"{total:.2f}" for total in totals)])
     return _write_csv(lines, args.out)
@@ -389,6 +418,8 @@ def cmd_delta(args) -> int:
 
 
 def cmd_track(args) -> int:
+    import numpy as np
+
     config = _load_or_fail(args.config)
     if config is None:
         return EXIT_VALIDATION
@@ -437,6 +468,8 @@ def _track_projections(portfolio: Portfolio, result: SimulationResult) -> dict[s
     value go as one column through the model's own rule for that item; a
     year the rule does not charge is the float 0.0.
     """
+    import numpy as np
+
     horizon = portfolio.horizon_years
     analytic = analytic_evaluate(portfolio)
 
@@ -500,6 +533,8 @@ _PLOT_BINS = 50
 
 
 def cmd_plotdata(args) -> int:
+    import numpy as np
+
     config = _load_or_fail(args.config)
     if config is None:
         return EXIT_VALIDATION

@@ -22,19 +22,11 @@ from . import benefits as benefits_mod
 from . import risk as risk_mod
 from .benefits import AbTestResult, BenefitItem
 from .costs import CapexItem, CostRules, OpexItem
-from .distributions import (
-    Lognormal,
-    Pert,
-    Point,
-    PointRate,
-    PoissonRate,
-    Triangular,
-    Uniform,
-    FrequencyModel,
-    UncertainQuantity,
-    scaled,
+from .model import Portfolio, SimulationConfig, validate_portfolio, validate_simulation
+from .quantities import (
+    FrequencyModel, Lognormal, Pert, Point, PointRate, PoissonRate, Triangular, UncertainQuantity,
+    Uniform, scaled,
 )
-from .engine import Portfolio, SimulationConfig, validate_portfolio, validate_simulation
 from .risk import PENALTY_TIERS, RiskRegister, RiskScenario
 
 SCHEMA_VERSION = 1

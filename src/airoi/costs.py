@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .distributions import UncertainQuantity, mean, validate
+from .quantities import UncertainQuantity, mean, validate
 
 CAPEX_CATEGORIES = ("development", "infrastructure", "licensing", "data", "other")
 OPEX_CATEGORIES = (

@@ -13,23 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from .quantities import (
+    FrequencyModel, UncertainQuantity, frequency_mean, mean, scaled, support, validate,
+    validate_frequency,
+)
+
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
-from .distributions import (
-    FrequencyModel,
-    RngStream,
-    UncertainQuantity,
-    _resolve_generator,
-    frequency_mean,
-    make_batch_sampler,
-    mean,
-    sample_event_count,
-    scaled,
-    support,
-    validate,
-    validate_frequency,
-)
+    from .distributions import RngStream
 
 APPLIES_TO = ("current_only", "ai_only", "both")
 STATES = ("current", "ai")
@@ -143,6 +135,8 @@ def ale_simulate(
     scenario: RiskScenario, state: str, rng: "RngStream | np.random.Generator"
 ) -> float:
     """One iteration's annual loss: a compound sum of sampled event severities."""
+    from .distributions import _resolve_generator, make_batch_sampler, sample_event_count
+
     freq = scenario.frequency_for(state)
     if freq is None:
         return 0.0

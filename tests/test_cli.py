@@ -3,7 +3,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +16,7 @@ from airoi.config import load_config
 from airoi.costs import tco_pair
 from airoi.engine import MAX_ITERATIONS, run_simulation
 from airoi.valuation import REPORT_METRICS, DiscountSpec, evaluate_outcome
-from conftest import minimal_config, write_config
+from conftest import REFERENCE_CONFIG, REPO_ROOT, minimal_config, write_config
 
 
 def run_cli(capsys, *argv):
@@ -882,3 +885,30 @@ def test_track_loss_without_total_loss_is_a_diagnostic(tmp_path, capsys):
         code, out, err = run_track(tmp_path, capsys, json.dumps({"records": [record]}).encode())
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err == f"error: records[0].losses.outage: {error}\n"
+
+
+def test_commands_that_draw_nothing_start_without_numpy():
+    # Each command in a fresh interpreter: validate and delta read and check
+    # the config only, so neither numpy nor the worker pool's module loads;
+    # evaluate computes, so it loads both.
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from airoi import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        "print(json.dumps([name in sys.modules for name in ('numpy', 'concurrent.futures')]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    for command, loads in (("validate", False), ("delta", False), ("evaluate", True)):
+        done = subprocess.run(
+            [sys.executable, "-c", code, command, str(REFERENCE_CONFIG)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [loads, loads], command

@@ -489,6 +489,31 @@ class _InlineExecutor(Executor):
         return future
 
 
+def test_pooled_early_stop_draws_at_most_one_block_per_worker_past_it(monkeypatch):
+    # 40000 iterations over three workers are ten 4000-iteration blocks, and
+    # a target of 1e9 is met at the first step.  The stand-in executor draws
+    # each block when it is submitted, so it counts what a pool would draw:
+    # the stopping block and at most one more per worker, not all ten, which
+    # a pool could no longer cancel once they sat in its call queue.
+    submitted = []
+
+    class RecordingExecutor(_InlineExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args[-2:])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    portfolio = small_portfolio()
+    serial = run_simulation(portfolio, SimulationConfig(40_000, 6, target_relative_se=1e9))
+    pooled = run_simulation(
+        portfolio, SimulationConfig(40_000, 6, worker_count=3, target_relative_se=1e9)
+    )
+    assert len(serial) == len(pooled) == 1_000
+    assert pooled.outcomes == serial.outcomes
+    assert submitted == [(0, 4_000), (4_000, 8_000), (8_000, 12_000)]
+
+
 def test_early_stop_decides_at_the_stopping_ratio(monkeypatch):
     # The stopping rule answers standard_error(nets) / |mean| <= target as
     # that expression over every net so far would.  Targets at, and one ulp
