@@ -177,7 +177,7 @@ def _resolve_generator(rng: "RngStream | np.random.Generator") -> np.random.Gene
 
 # Philox4x64-10 constants (Salmon et al., SC'11), as numpy's Philox uses them.
 _PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_KEY_BUMPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_KEY_BUMPS = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
 _PHILOX_HALVES = tuple(
     (np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32), np.uint64(m)) for m in _PHILOX_MULTIPLIERS
@@ -187,6 +187,9 @@ _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 # numpy's next_double: the top 53 bits of a 64-bit output times 2**-53.
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0
+# (stream, iteration, block) triples per philox_block call of a fill: bounds
+# its ten working arrays (320 KB at this length), whatever a round asks for.
+_PHILOX_CHUNK = 4096
 
 
 def _mulhilo(
@@ -223,17 +226,17 @@ def _mulhilo(
     np.multiply(x, m, low)
 
 
-def philox_block(
-    words: tuple[int, int], iterations: np.ndarray, block: int | np.ndarray
-) -> np.ndarray:
+def philox_block(keys, iterations: np.ndarray, block: int | np.ndarray) -> np.ndarray:
     """Output block ``block`` of the Philox4x64-10 stream of each iteration.
 
     Row ``r`` holds the four 64-bit words that the stream keyed by
-    ``words`` emits, for iteration ``iterations[r]``, as its draws
+    ``keys`` emits, for iteration ``iterations[r]``, as its draws
     ``4 * b`` to ``4 * b + 3``, where ``b`` is ``block`` or, for an array,
-    ``block[r]``; bit for bit as ``np.random.Philox`` emits them.  The
-    generator bumps its counter before each block, so block ``b`` encrypts
-    counter ``(b + 1, 0, i, 0)``.  Iteration indices must lie below 2**64.
+    ``block[r]``; bit for bit as ``np.random.Philox`` emits them.  ``keys``
+    is one stream's two key words, or two arrays holding row ``r``'s key
+    words at ``r``.  The generator bumps its counter before each block, so
+    block ``b`` encrypts counter ``(b + 1, 0, i, 0)``.  Iteration indices
+    must lie below 2**64.
     """
     shape = iterations.shape
     c0 = np.empty(shape, dtype=np.uint64)
@@ -243,17 +246,17 @@ def philox_block(
     c3 = np.zeros(shape, dtype=np.uint64)
     hi0, lo0, hi1, lo1 = (np.empty(shape, dtype=np.uint64) for _ in range(4))
     temps = (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64))
-    k0, k1 = words
+    # An array, so the bumps wrap modulo 2**64 without numpy's scalar overflow warning.
+    key = np.asarray(keys, dtype=np.uint64).reshape(2, -1)
     for round_index in range(_PHILOX_ROUNDS):
         if round_index:
-            k0 = (k0 + _PHILOX_KEY_BUMPS[0]) & _MASK64
-            k1 = (k1 + _PHILOX_KEY_BUMPS[1]) & _MASK64
+            key = key + _PHILOX_KEY_BUMPS
         _mulhilo(_PHILOX_HALVES[0], c0, hi0, lo0, temps)
         _mulhilo(_PHILOX_HALVES[1], c2, hi1, lo1, temps)
         np.bitwise_xor(hi1, c1, hi1)
-        np.bitwise_xor(hi1, np.uint64(k0), hi1)
+        np.bitwise_xor(hi1, key[0], hi1)
         np.bitwise_xor(hi0, c3, hi0)
-        np.bitwise_xor(hi0, np.uint64(k1), hi0)
+        np.bitwise_xor(hi0, key[1], hi0)
         # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0); the
         # old counter words become the next round's output buffers.
         c0, c1, c2, c3, hi1, lo1, hi0, lo0 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
@@ -265,6 +268,9 @@ def _doubles(raw: np.ndarray) -> np.ndarray:
     return (raw >> _SHIFT11) * _DOUBLE_UNIT
 
 
+_NONE = np.empty(0, dtype=np.int64)  # no (row, block) pairs
+
+
 class StreamUniforms:
     """The 64-bit outputs of one stream over a block of iterations.
 
@@ -273,7 +279,8 @@ class StreamUniforms:
     bit generator: ``outputs`` gives the outputs themselves, and ``column``
     the double that the ``j``-th ``random()`` call returns.  Position ``j``
     sits in Philox block ``j // 4``.  Blocks are generated on demand, and
-    only for the rows that read them.
+    only for the rows that read them: by :func:`fill_streams`, which
+    ``column`` and ``outputs`` call for their own positions.
     """
 
     def __init__(self, words: tuple[int, int], start: int, stop: int):
@@ -283,10 +290,13 @@ class StreamUniforms:
         self._raw = np.empty((self.rows, 0), dtype=np.uint64)
         self._blocks = np.zeros(self.rows, dtype=np.int64)  # blocks filled per row
 
-    def _fill(self, rows: np.ndarray, ends: np.ndarray) -> None:
-        """Make positions ``0 .. ends[k] - 1`` available for ``rows[k]``."""
+    def _missing(self, rows: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (row, block) pairs that positions ``0 .. ends[k] - 1`` of ``rows[k]`` lack.
+
+        Makes room for them, and counts them as filled: the caller writes them.
+        """
         if rows.size == 0:
-            return
+            return _NONE, _NONE
         needed = (ends + 3) // 4
         top = int(needed.max())
         if 4 * top > self._raw.shape[1]:
@@ -295,26 +305,61 @@ class StreamUniforms:
             self._raw = grown
         have = self._blocks[rows]
         missing = np.maximum(needed - have, 0)
-        if missing.any():
-            # Every missing (row, block) pair, in one Philox pass.
-            pick = np.repeat(rows, missing)
-            blocks = np.repeat(have - np.cumsum(missing) + missing, missing) + np.arange(pick.size)
-            self._raw[pick[:, None], 4 * blocks[:, None] + np.arange(4)] = philox_block(
-                self.words, self._iterations[pick], blocks
-            )
+        if not missing.any():
+            return _NONE, _NONE
         self._blocks[rows] = np.maximum(have, needed)
+        pick = np.repeat(rows, missing)
+        blocks = np.repeat(have - np.cumsum(missing) + missing, missing) + np.arange(pick.size)
+        return pick, blocks
 
     def column(self, position: int, rows: np.ndarray | None = None) -> np.ndarray:
         """Position ``position`` of each of ``rows`` (default: every row), as doubles."""
         if rows is None:
             rows = np.arange(self.rows)
-        self._fill(rows, np.full(rows.shape, position + 1))
-        return _doubles(self._raw[rows, position])
+        fill_streams([(self, rows, np.full(rows.shape, position + 1))])
+        return self._column(position, rows)
 
     def outputs(self, rows: np.ndarray, first: np.ndarray, length: int) -> np.ndarray:
         """``length`` consecutive outputs per row, from ``first[k]`` for ``rows[k]``."""
-        self._fill(rows, first + length)
+        fill_streams([(self, rows, first + length)])
+        return self._outputs(rows, first, length)
+
+    # The readers of positions a fill has already made available.
+
+    def _column(self, position: int, rows: np.ndarray) -> np.ndarray:
+        return _doubles(self._raw[rows, position])
+
+    def _outputs(self, rows: np.ndarray, first: np.ndarray, length: int) -> np.ndarray:
         return self._raw[rows[:, None], first[:, None] + np.arange(length)]
+
+
+def fill_streams(requests) -> None:
+    """Make positions ``0 .. ends[k] - 1`` of ``rows[k]`` available, for every request.
+
+    ``requests`` holds ``(uniforms, rows, ends)`` triples, any number per
+    stream.  Every (stream, iteration, block) that one of them lacks is
+    encrypted in one Philox pass over all the streams, with a key per
+    element, in chunks of ``_PHILOX_CHUNK``.
+    """
+    wanted = []
+    for uniforms, rows, ends in requests:
+        pick, blocks = uniforms._missing(rows, ends)
+        if pick.size:
+            wanted.append((uniforms, pick, blocks))
+    if not wanted:
+        return
+    sizes = [pick.size for _, pick, _ in wanted]
+    keys = np.repeat(np.array([u.words for u, _, _ in wanted], dtype=np.uint64).T, sizes, axis=1)
+    iterations = np.concatenate([u._iterations[pick] for u, pick, _ in wanted])
+    blocks = np.concatenate([blocks for _, _, blocks in wanted])
+    words = np.empty((iterations.size, 4), dtype=np.uint64)
+    for lo in range(0, iterations.size, _PHILOX_CHUNK):
+        hi = lo + _PHILOX_CHUNK
+        words[lo:hi] = philox_block(keys[:, lo:hi], iterations[lo:hi], blocks[lo:hi])
+    lo = 0
+    for (uniforms, pick, blocks), size in zip(wanted, sizes):
+        uniforms._raw.reshape(uniforms.rows, -1, 4)[pick, blocks] = words[lo : lo + size]
+        lo += size
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +630,28 @@ def _from_doubles(transform) -> VectorSampler:
     return VectorSampler(1, _MAX_UNIFORM_EVENTS, sums)
 
 
+def sum_draws(
+    vector: VectorSampler, uniforms: StreamUniforms, counts: np.ndarray, consumed: np.ndarray
+):
+    """Per row, the sum of ``counts[r]`` draws from position ``consumed[r]`` on.
+
+    A generator, as :func:`count_draws`: it yields one request for the
+    draws of every row, and returns ``(sums, misses)``.  The rows in
+    ``misses`` (not exact, or a batch longer than ``vector.max_events``)
+    hold filler and must be drawn on the positioned path.
+    """
+    sums = np.zeros(uniforms.rows)
+    misses = [np.flatnonzero(counts > vector.max_events)]
+    batched = np.flatnonzero((counts > 0) & (counts <= vector.max_events))
+    yield uniforms, batched, consumed[batched] + counts[batched] * vector.width
+    for count in np.unique(counts[batched]).tolist():
+        rows = np.flatnonzero(counts == count)
+        outputs = uniforms._outputs(rows, consumed[rows], count * vector.width)
+        sums[rows], exact = vector.sums(outputs.reshape(rows.size, count, vector.width))
+        misses.append(rows[~exact])
+    return sums, np.concatenate(misses)
+
+
 def sample(q: UncertainQuantity, rng: "RngStream | np.random.Generator") -> float:
     """Draw one value from ``q``; a Point returns its value without a draw."""
     return make_sampler(q)(_resolve_generator(rng))
@@ -624,16 +691,16 @@ def sample_event_count(
     return make_count_sampler(freq)(_resolve_generator(rng))
 
 
-def count_draws(
-    freq: FrequencyModel, uniforms: StreamUniforms
-) -> tuple[np.ndarray, np.ndarray] | None:
+def count_draws(freq: FrequencyModel, uniforms: StreamUniforms):
     """Event counts for every row of ``uniforms``, as :func:`make_count_sampler` draws them.
 
-    Returns ``(counts, consumed)``: per row, the count and how many
-    ``random()`` values its draw used, so later draws of the same stream
-    start at position ``consumed``.  Poisson rates below 10 use numpy's
-    multiplication method.  Returns None where numpy draws by rejection
-    (Poisson rates of 10 or more).
+    A generator: it yields each request ``(uniforms, rows, ends)`` for the
+    positions it reads next (see :func:`fill_streams`), and returns
+    ``(counts, consumed)``: per row, the count and how many ``random()``
+    values its draw used, so later draws of the same stream start at
+    position ``consumed``.  Poisson rates below 10 use numpy's
+    multiplication method, one position per round.  Returns None where
+    numpy draws by rejection (Poisson rates of 10 or more).
     """
     rows = uniforms.rows
     if isinstance(freq, PointRate):
@@ -641,7 +708,9 @@ def count_draws(
         frac = freq.events_per_year - base
         if frac == 0:
             return np.full(rows, base, dtype=np.int64), np.zeros(rows, dtype=np.int64)
-        return base + (uniforms.column(0) < frac), np.ones(rows, dtype=np.int64)
+        every = np.arange(rows)
+        yield uniforms, every, np.ones(rows, dtype=np.int64)
+        return base + (uniforms._column(0, every) < frac), np.ones(rows, dtype=np.int64)
     if isinstance(freq, PoissonRate):
         lam = freq.mean_events_per_year
         counts = np.zeros(rows, dtype=np.int64)
@@ -654,11 +723,11 @@ def count_draws(
         active = np.arange(rows)
         position = 0
         while active.size:
-            running = product[active] * uniforms.column(position, active)
+            yield uniforms, active, np.full(active.size, position + 1)
+            running = product[active] * uniforms._column(position, active)
             product[active] = running
             active = active[running > threshold]
             counts[active] += 1
             position += 1
         return counts, counts + 1
     raise TypeError(f"unsupported frequency type {type(freq).__name__}")
-

@@ -14,6 +14,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -22,8 +23,8 @@ from . import benefits as benefits_mod
 from . import costs as costs_mod
 from . import risk as risk_mod
 from .distributions import (
-    StreamUniforms, SubstreamSampler, count_draws, make_batch_sampler, make_count_sampler,
-    make_sampler, vector_sampler,
+    StreamUniforms, SubstreamSampler, count_draws, fill_streams, make_batch_sampler,
+    make_count_sampler, make_sampler, sum_draws, vector_sampler,
 )
 from .model import (  # noqa: F401  (their former home: re-exported)
     ENGINE_METRICS, MAX_HORIZON_YEARS, MAX_ITERATIONS, Portfolio, SimulationConfig,
@@ -40,6 +41,11 @@ _ROW_FIELDS = ENGINE_METRICS + ("cash_flows", "cash_basis_flows", "tco_per_year"
 _EARLY_STOP_BLOCK = 1000
 # Iterations per kernel pass, whole early-stop steps: bounds the scratch arrays.
 _KERNEL_BLOCK = 4 * _EARLY_STOP_BLOCK
+# Streams drawn in one round: bounds the outputs that live streams hold to
+# 4 * _KERNEL_BLOCK stream-rows.  Fewer take more Philox passes.  Against
+# four, sixteen raised the peak RSS of a 1000-iteration reference run by
+# 0.5 MB, and one raised a 3x10^4 run's by 0.6 MB (allocator layout).
+_ROUND_STREAMS = 4
 
 
 @dataclass(frozen=True)
@@ -98,29 +104,23 @@ class SimulationResult:
     cost_values: dict[str, np.ndarray]
     scenario_losses: dict[str, tuple[np.ndarray, np.ndarray]]
 
-    @classmethod
-    def concat(cls, parts: Sequence["SimulationResult"], rows: int) -> "SimulationResult":
-        """The first ``rows`` rows of consecutive iteration blocks."""
-        if len(parts) == 1 and rows == len(parts[0]):
-            return parts[0]
+    def _arrays(self) -> list[np.ndarray]:
+        """Every array, in one order for every block of a run."""
+        return [
+            *(getattr(self, name) for name in _ROW_FIELDS),
+            *self.benefit_values.values(),
+            *self.cost_values.values(),
+            *(losses for pair in self.scenario_losses.values() for losses in pair),
+        ]
 
-        def stack(arrays) -> np.ndarray:
-            stacked = np.concatenate(list(arrays))
-            return stacked[:rows] if rows < len(stacked) else stacked
-
-        first = parts[0]
-        return cls(
-            **{name: stack(getattr(part, name) for part in parts) for name in _ROW_FIELDS},
-            benefit_values={
-                key: stack(part.benefit_values[key] for part in parts)
-                for key in first.benefit_values
-            },
-            cost_values={
-                key: stack(part.cost_values[key] for part in parts) for key in first.cost_values
-            },
+    def _map(self, fn) -> "SimulationResult":
+        """The result whose every array is ``fn`` of this one's."""
+        return SimulationResult(
+            **{name: fn(getattr(self, name)) for name in _ROW_FIELDS},
+            benefit_values={key: fn(values) for key, values in self.benefit_values.items()},
+            cost_values={key: fn(values) for key, values in self.cost_values.items()},
             scenario_losses={
-                key: tuple(stack(part.scenario_losses[key][s] for part in parts) for s in (0, 1))
-                for key in first.scenario_losses
+                key: (fn(current), fn(ai)) for key, (current, ai) in self.scenario_losses.items()
             },
         )
 
@@ -322,15 +322,15 @@ def _assemble_columns(
 # ---------------------------------------------------------------------------
 
 
-def _draw_stream(
-    words, freq, quantity, sampler: SubstreamSampler, start: int, stop: int
-) -> np.ndarray:
+def _draw_stream(words, freq, quantity, sampler: SubstreamSampler, start: int, stop: int):
     """One stream's annual total per iteration: a value's draw or a risk state's loss.
 
-    Consumes the stream as ``sample`` and ``ale_simulate`` do.
+    Consumes the stream as ``sample`` and ``ale_simulate`` do.  A generator,
+    as :func:`count_draws`: it yields a request for the positions it reads
+    next, and returns the column.
     """
     uniforms = StreamUniforms(words, start, stop)
-    drawn = count_draws(freq, uniforms)
+    drawn = yield from count_draws(freq, uniforms)
     totals = np.zeros(stop - start)
     if drawn is None:
         scalar_rows = range(stop - start)
@@ -342,14 +342,8 @@ def _draw_stream(
         if vector is None:
             scalar_rows = np.flatnonzero(counts).tolist()
         else:
-            misses = [np.flatnonzero(counts > vector.max_events)]
-            for count in np.unique(counts[(counts > 0) & (counts <= vector.max_events)]):
-                rows = np.flatnonzero(counts == count)
-                outputs = uniforms.outputs(rows, consumed[rows], int(count) * vector.width)
-                sums, exact = vector.sums(outputs.reshape(rows.size, int(count), vector.width))
-                totals[rows] = sums
-                misses.append(rows[~exact])
-            scalar_rows = np.concatenate(misses).tolist()
+            totals, misses = yield from sum_draws(vector, uniforms, counts, consumed)
+            scalar_rows = misses.tolist()
     count_draw = make_count_sampler(freq)
     draw = make_sampler(quantity)
     batch = make_batch_sampler(quantity)
@@ -360,6 +354,35 @@ def _draw_stream(
         # One draw has a batch of one's bits without numpy's array overhead.
         totals[row] = draw(gen) if count == 1 else batch(gen, count) if count else 0.0
     return totals
+
+
+def _draw_rounds(draws: list) -> list[np.ndarray]:
+    """The columns of ``draws``, stream generators over one block's rows, in order.
+
+    Streams are drawn in lockstep rounds.  Each round fills the positions
+    that every live stream asked for in one :func:`fill_streams` pass, then
+    lets each read them and ask again.  A stream joins while fewer than
+    ``_ROUND_STREAMS`` are live, and leaves when it returns its column.
+    """
+    columns: list = [None] * len(draws)
+    waiting = deque(enumerate(draws))
+    live: dict[int, tuple] = {}
+
+    def advance(index: int, draw) -> None:
+        try:
+            live[index] = (draw, next(draw))
+        except StopIteration as done:
+            live.pop(index, None)
+            columns[index] = done.value
+
+    while waiting or live:
+        while waiting and len(live) < _ROUND_STREAMS:
+            advance(*waiting.popleft())
+        if live:
+            fill_streams([request for _, request in live.values()])
+            for index, (draw, _) in list(live.items()):
+                advance(index, draw)
+    return columns
 
 
 def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
@@ -384,7 +407,14 @@ def _run_block(portfolio: Portfolio, master_seed: int, start: int, stop: int) ->
     """Rows ``start`` to ``stop`` of a run, drawn in one kernel pass."""
     plan = _Plan(portfolio, master_seed)
     sampler = SubstreamSampler()
-    return _plan_columns(plan, stop - start, lambda *s: _draw_stream(*s, sampler, start, stop))
+    streams = [
+        stream
+        for stream in (*plan.benefits.values(), *plan.costs.values(), *chain(*plan.risks.values()))
+        if stream is not None
+    ]
+    draws = [_draw_stream(*stream, sampler, start, stop) for stream in streams]
+    drawn = dict(zip(streams, _draw_rounds(draws)))
+    return _plan_columns(plan, stop - start, lambda *stream: drawn[stream])
 
 
 def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationResult:
@@ -394,9 +424,10 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
     and ``i`` itself; worker count changes scheduling, never results, so
     no more workers run than the host has CPUs.  Every run walks one list
     of blocks, serially or on a pool: each is whole 1000-iteration steps
-    and at most one kernel pass.  With ``target_relative_se`` set, the run
-    stops after the first step whose net-benefit standard error is small
-    enough relative to its mean, which keeps early stopping deterministic.
+    and at most one kernel pass, and writes its rows into the run's arrays
+    as it arrives.  With ``target_relative_se`` set, the run stops after
+    the first step whose net-benefit standard error is small enough
+    relative to its mean, which keeps early stopping deterministic.
     """
     errors, _ = validate_portfolio(portfolio)
     errors += validate_simulation(cfg)
@@ -412,22 +443,54 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
     run_block = partial(_run_block, portfolio, cfg.master_seed)
     stop_rule = None if cfg.target_relative_se is None else _StopRule(cfg.target_relative_se, steps)
     workers = min(workers, len(bounds) - 1)
-    blocks: list[SimulationResult] = []
+    result = None
+    held = []  # a pooled run's blocks, until the pool is shut down
+    start = 0
     rows = cfg.iterations
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         walk = map if pool is None else partial(_bounded_map, pool, workers)
-        for start, block in zip(bounds, walk(run_block, bounds, bounds[1:])):
-            blocks.append(block)
+        for block in walk(run_block, bounds, bounds[1:]):
+            end = start + len(block)
+            if result is None and (end == cfg.iterations or stop_rule is not None):
+                result = block  # the whole run, or the first block of an early-stopped one
+            else:  # each block writes its rows in place
+                if result is None or end > len(result):
+                    # A plain run sizes its arrays once.  An early-stopped one doubles
+                    # them, so a stop in the first steps of a long run holds about
+                    # what it drew, not cfg.iterations rows.
+                    size = cfg.iterations
+                    if stop_rule is not None:
+                        size = min(size, max(2 * len(result), end))
+                    result = _grown(block if result is None else result, start, size)
+                for whole, part in zip(result._arrays(), block._arrays()):
+                    whole[start:end] = part
             if stop_rule is not None and (kept := stop_rule.stop(block)) is not None:
                 rows = start + kept
                 break
-        # Stacked before the shutdown: stacking after it raised a pooled run's peak RSS.
-        result = SimulationResult.concat(blocks, rows)
+            start = end
+            if pool is not None:
+                # Freed while the pool's result thread runs, pooled blocks stay in
+                # that thread's malloc arena: a two-block run on two workers then
+                # peaked at 59.5 instead of 55.6 MB in about half the runs.
+                held.append(block)
+            del block  # a serial run's block is not held while the next is drawn
     finally:
         if pool is not None:  # blocks queued past a stop or a failure never run
             pool.shutdown(cancel_futures=True)
-    return result
+    # An exact-size copy: a view would keep a stopped run's spare rows alive.
+    return result if rows == len(result) else result._map(lambda a: a[:rows].copy())
+
+
+def _grown(result: SimulationResult, rows: int, size: int) -> SimulationResult:
+    """Arrays of ``size`` rows shaped as ``result``'s, holding its first ``rows`` rows."""
+
+    def grow(values: np.ndarray) -> np.ndarray:
+        grown = np.empty((size, *values.shape[1:]), values.dtype)
+        grown[:rows] = values[:rows]
+        return grown
+
+    return result._map(grow)
 
 
 def _bounded_map(pool: ProcessPoolExecutor, depth: int, fn, *iterables):

@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import multiprocessing
+import tracemalloc
 from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
 
-from airoi import engine
+from airoi import distributions, engine
 from airoi.benefits import BenefitItem, benefit_schedule
 from airoi.costs import CapexItem, CostRules, OpexItem, tco_pair
 from airoi.distributions import (
@@ -747,6 +748,143 @@ def test_random_portfolios_satisfy_core_invariants():
         for name in ENGINE_METRICS:
             summary = summarize(getattr(result, name).tolist())
             assert summary.min <= summary.p10 <= summary.p50 <= summary.p90 <= summary.max
+
+
+def _bits(result) -> list[bytes]:
+    """Every array of ``result`` as bytes, so -0.0 and 0.0 differ."""
+    return [array.tobytes() for array in result._arrays()]
+
+
+def test_round_size_does_not_change_a_block(monkeypatch, reference_config):
+    # Streams drawn one at a time, or all in one round, give the columns of
+    # streams drawn in rounds of the default size.  The added scenarios make sure that every
+    # draw path that asks for positions runs: Poisson rates of 0, below 10 and
+    # 10 or more, a PERT with a shape of 1, and lognormal batches of more than
+    # 8 events.
+    extra = (
+        RiskScenario(
+            "x0", Lognormal(5_000.0, 0.4), "both",
+            frequency_current=PoissonRate(0.0), frequency_ai=PoissonRate(3.5),
+        ),
+        RiskScenario(
+            "x1", Pert(1_000.0, 4_000.0, 9_000.0), "both",
+            frequency_current=PoissonRate(12.5), frequency_ai=PoissonRate(9.5),
+        ),
+        RiskScenario(
+            "x2", Pert(1_000.0, 1_000.0, 9_000.0), "current_only",
+            frequency_current=PoissonRate(2.0),
+        ),
+        RiskScenario("x3", Lognormal(2_000.0, 0.8), "ai_only", frequency_ai=PointRate(11.5)),
+    )
+    gen = RngStream(2_026, "rounds", 0).generator
+    portfolios = [reference_config.portfolio, small_portfolio(extra)]
+    for _ in range(6):
+        portfolio = _random_portfolio(gen)
+        scenarios = portfolio.register.scenarios + extra
+        portfolios.append(dataclasses.replace(portfolio, register=RiskRegister(scenarios)))
+    together = [engine._run_block(portfolio, 42, 1_000, 2_500) for portfolio in portfolios]
+    for streams in (1, 10**6):
+        monkeypatch.setattr(engine, "_ROUND_STREAMS", streams)
+        for portfolio, expected in zip(portfolios, together):
+            assert _bits(engine._run_block(portfolio, 42, 1_000, 2_500)) == _bits(expected)
+
+
+def test_reference_run_keeps_its_philox_pass_budget(monkeypatch, reference_config):
+    # A block's streams share one Philox pass per round, and a stream's
+    # severity request covers all its count groups.  One pass per stream
+    # and request, as before rounds, took 151 here; one stream per round, 73.
+    assert distributions._normal_tables() is not None
+    passes = 0
+    philox_block = distributions.philox_block
+
+    def counted(*args):
+        nonlocal passes
+        passes += 1
+        return philox_block(*args)
+
+    monkeypatch.setattr(distributions, "philox_block", counted)
+    cfg = SimulationConfig(iterations=10_000, master_seed=42, worker_count=1)
+    run_simulation(reference_config.portfolio, cfg)
+    assert 0 < passes <= 52
+
+
+def test_blocks_are_written_in_place(monkeypatch):
+    # Twelve 1000-row blocks: a run holds its result and one block's scratch
+    # at a time, not every block beside their concatenation (about twice
+    # the result).  32 KB cover the interpreter's own objects.
+    monkeypatch.setattr(engine, "_KERNEL_BLOCK", engine._EARLY_STOP_BLOCK)
+    portfolio = small_portfolio()
+    run_simulation(portfolio, SimulationConfig(1_000, 9))  # fills the samplers' caches
+    tracemalloc.start()
+    try:
+        block_peak = 0
+        for start in range(0, 12_000, 1_000):
+            tracemalloc.reset_peak()
+            engine._run_block(portfolio, 9, start, start + 1_000)
+            block_peak = max(block_peak, tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        result = run_simulation(portfolio, SimulationConfig(12_000, 9, worker_count=1))
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result_bytes = sum(array.nbytes for array in result._arrays())
+    assert block_peak < result_bytes
+    assert run_peak < result_bytes + block_peak + 2**15
+    assert _bits(result) == _bits(engine._run_block(portfolio, 9, 0, 12_000))
+
+
+def test_an_early_stop_holds_only_what_it_drew(reference_config):
+    # 10^8 iterations with a target met at the first step: arrays sized for
+    # the whole run would ask for tens of GB.  The run holds one block and
+    # its exact-size copy, the stop rule's per-step statistics (four doubles
+    # a step) and the list of block bounds (a list slot and an int each).
+    portfolio = reference_config.portfolio
+    cfg = SimulationConfig(10**8, 42, worker_count=1, target_relative_se=1e9)
+    run_simulation(portfolio, SimulationConfig(1_000, 42))  # fills the samplers' caches
+    tracemalloc.start()
+    try:
+        engine._run_block(portfolio, 42, 0, engine._KERNEL_BLOCK)
+        block_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        result = run_simulation(portfolio, cfg)
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stats_bytes = 32 * (cfg.iterations // engine._EARLY_STOP_BLOCK)
+    bounds_bytes = 36 * (cfg.iterations // engine._KERNEL_BLOCK)
+    assert len(result) == engine._EARLY_STOP_BLOCK
+    assert all(array.base is None for array in result._arrays())
+    assert run_peak < 2 * block_peak + stats_bytes + bounds_bytes
+    plain = run_simulation(portfolio, SimulationConfig(engine._EARLY_STOP_BLOCK, 42))
+    assert _bits(result) == _bits(plain)
+
+
+def test_an_early_stop_grows_its_arrays_by_doubling(monkeypatch):
+    # 1000-row blocks and a stop rule that stops at 11,500 rows of 40,000:
+    # the arrays grow to 2,000, 4,000, 8,000 and 16,000 rows, then the
+    # result is copied to its 11,500.
+    monkeypatch.setattr(engine, "_KERNEL_BLOCK", engine._EARLY_STOP_BLOCK)
+    sizes = []
+    grown = engine._grown
+    monkeypatch.setattr(
+        engine, "_grown", lambda result, rows, size: sizes.append(size) or grown(result, rows, size)
+    )
+
+    class StopAt:
+        def __init__(self, target, steps):
+            self.seen = 0
+
+        def stop(self, block):
+            self.seen += len(block)
+            return None if self.seen < 12_000 else len(block) // 2
+
+    monkeypatch.setattr(engine, "_StopRule", StopAt)
+    portfolio = small_portfolio()
+    result = run_simulation(portfolio, SimulationConfig(40_000, 4, target_relative_se=1.0))
+    assert sizes == [2_000, 4_000, 8_000, 16_000]
+    assert len(result) == 11_500
+    assert all(array.base is None for array in result._arrays())
+    assert _bits(result) == _bits(engine._run_block(portfolio, 4, 0, 11_500))
 
 
 # -- summary statistics ----------------------------------------------------------

@@ -60,6 +60,28 @@ def test_philox_block_matches_numpy_philox():
         assert (philox_block(words, iterations, 3) == philox_block(words, iterations, np.full(8, 3))).all()
 
 
+def test_philox_block_takes_a_key_per_row():
+    # Keys near 2**64 - 1 wrap on the key bump of every round.
+    rng = np.random.default_rng(2025)
+    rows = 64
+    keys = rng.integers(0, 2**64, size=(2, rows), dtype=np.uint64)
+    keys[:, :8] = np.uint64(2**64 - 1) - rng.integers(0, 2**10, size=(2, 8), dtype=np.uint64)
+    keys[0, 8:12] = 2**64 - 1
+    iterations = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
+    iterations[:3] = (0, 2**32, 2**64 - 1)
+    blocks = rng.integers(0, 41, size=rows)
+    blocks[:2] = (0, 40)
+    got = philox_block(keys, iterations, blocks)
+    for row in range(rows):
+        reference = np.random.Philox(
+            counter=np.array([0, 0, iterations[row], 0], dtype=np.uint64), key=keys[:, row]
+        ).random_raw(4 * int(blocks[row]) + 4)[-4:]
+        assert got[row].tolist() == reference.tolist()
+        # One stream is the one-key case.
+        one = philox_block(tuple(keys[:, row].tolist()), iterations[row : row + 1], blocks[row])
+        assert one[0].tolist() == reference.tolist()
+
+
 def test_stream_outputs_fill_every_missing_block():
     words = stream_words(5, "fill")
     uniforms = StreamUniforms(words, 2**40, 2**40 + 30)
@@ -74,6 +96,38 @@ def test_stream_outputs_fill_every_missing_block():
     for k, row in enumerate((4, 9)):
         gen = sampler.at(words, 2**40 + row)
         assert gen.random(3)[2] == doubles[k]
+
+
+def test_one_fill_over_many_streams_gives_each_stream_its_own_words(monkeypatch):
+    # Requests that overlap, repeat a stream or a row, and are empty, over
+    # streams with keys near 2**64 - 1 and iterations near 2**64; one fill
+    # with a small chunk against each stream filling alone, and against the
+    # positioned generator.
+    monkeypatch.setattr(distributions, "_PHILOX_CHUNK", 7)
+    rng = np.random.default_rng(31)
+    spans = [(0, 40), (2**64 - 40, 2**64), (2**32 - 5, 2**32 + 20)]
+    keys = [stream_words(3, "a"), (2**64 - 1, 2**64 - 2), (2**64 - 3, 12)]
+    shared = [StreamUniforms(words, *span) for words, span in zip(keys, spans)]
+    alone = [StreamUniforms(words, *span) for words, span in zip(keys, spans)]
+    sampler = SubstreamSampler()
+    for _ in range(4):
+        requests = []
+        for uniforms in shared:
+            for _ in range(int(rng.integers(0, 3))):
+                rows = rng.integers(0, uniforms.rows, size=int(rng.integers(0, 12)))
+                ends = rng.integers(0, 30, size=rows.size)
+                requests.append((uniforms, rows, ends))
+            requests.append((uniforms, np.arange(0), np.arange(0)))
+        distributions.fill_streams(requests)
+        for uniforms, rows, ends in requests:
+            twin = alone[shared.index(uniforms)]
+            for row, end in zip(rows.tolist(), ends.tolist()):
+                if end:
+                    first = np.zeros(1, dtype=np.int64)
+                    own = twin.outputs(np.array([row]), first, end)[0].tolist()
+                    assert uniforms._outputs(np.array([row]), first, end)[0].tolist() == own
+                    gen = sampler.at(twin.words, spans[shared.index(uniforms)][0] + row)
+                    assert gen.bit_generator.random_raw(end).tolist() == own
 
 
 def test_vector_normals_match_numpy_over_a_million_draws():
