@@ -276,11 +276,11 @@ class StreamUniforms:
 
     Row ``r`` stands for iteration ``start + r``; its position ``j`` is the
     ``j``-th 64-bit output of ``RngStream(seed, key, start + r).generator``'s
-    bit generator: ``outputs`` gives the outputs themselves, and ``column``
-    the double that the ``j``-th ``random()`` call returns.  Position ``j``
-    sits in Philox block ``j // 4``.  Blocks are generated on demand, and
-    only for the rows that read them: by :func:`fill_streams`, which
-    ``column`` and ``outputs`` call for their own positions.
+    bit generator.  Position ``j`` sits in Philox block ``j // 4``.  Blocks
+    are generated on demand, and only for the rows that read them: by
+    :func:`fill_streams`, after which ``_outputs`` gives the outputs
+    themselves, and ``_column`` the double that the ``j``-th ``random()``
+    call returns.
     """
 
     def __init__(self, words: tuple[int, int], start: int, stop: int):
@@ -311,20 +311,6 @@ class StreamUniforms:
         pick = np.repeat(rows, missing)
         blocks = np.repeat(have - np.cumsum(missing) + missing, missing) + np.arange(pick.size)
         return pick, blocks
-
-    def column(self, position: int, rows: np.ndarray | None = None) -> np.ndarray:
-        """Position ``position`` of each of ``rows`` (default: every row), as doubles."""
-        if rows is None:
-            rows = np.arange(self.rows)
-        fill_streams([(self, rows, np.full(rows.shape, position + 1))])
-        return self._column(position, rows)
-
-    def outputs(self, rows: np.ndarray, first: np.ndarray, length: int) -> np.ndarray:
-        """``length`` consecutive outputs per row, from ``first[k]`` for ``rows[k]``."""
-        fill_streams([(self, rows, first + length)])
-        return self._outputs(rows, first, length)
-
-    # The readers of positions a fill has already made available.
 
     def _column(self, position: int, rows: np.ndarray) -> np.ndarray:
         return _doubles(self._raw[rows, position])

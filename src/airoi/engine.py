@@ -1,6 +1,6 @@
 """Monte Carlo orchestration over a full portfolio model.
 
-Every uncertain input owns a named substream keyed by its stable item id,
+Every uncertain input owns a named substream, seeded by its stream key,
 and each iteration derives its generators independently, so results are
 identical for any worker count and unchanged for existing items when new
 ones are added.  Results are held as columns ordered by iteration index.
@@ -14,7 +14,6 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -151,7 +150,7 @@ class SimulationResult:
 
 
 # ---------------------------------------------------------------------------
-# Substream plan
+# Stream table
 # ---------------------------------------------------------------------------
 
 
@@ -176,67 +175,29 @@ def risk_stream_key(scenario_id: str, state: str) -> str:
 _ONE_EVENT = PointRate(1.0)
 
 
-class _Plan:
-    """Per-run plan: every input as a (stream words, frequency, quantity) stream.
+def _streams(portfolio: Portfolio) -> dict[str, tuple]:
+    """Every stream that applies, by the key that seeds it: its (frequency, quantity).
 
     A stream's annual total is the sum of one frequency draw's count of
-    quantity draws.  ``benefits`` and ``costs`` map item ids to value
-    streams, which have one event a year; ``risks`` maps scenario ids to
-    their (current, AI) loss streams, None where a state does not apply.
-    Words are derived only with a ``master_seed``: a plan read at its means
-    draws nothing.
+    quantity draws.  Benefit, capex and opex values come first, then each
+    scenario's current and AI loss; a risk state that does not apply has
+    no stream.
     """
-
-    __slots__ = ("portfolio", "benefits", "costs", "risks")
-
-    def __init__(self, portfolio: Portfolio, master_seed: int | None = None):
-        self.portfolio = portfolio
-
-        def stream(key: str, freq, quantity):
-            if freq is None:  # a risk state that does not apply
-                return None
-            words = None if master_seed is None else stream_words(master_seed, key)
-            return words, freq, quantity
-
-        self.benefits = {
-            item.id: stream(benefit_stream_key(item.id), _ONE_EVENT, item.annual_value)
-            for item in portfolio.benefits
-        }
-        self.costs = {
-            item.id: stream(capex_stream_key(item.id), _ONE_EVENT, item.amount)
-            for item in portfolio.capex
-        }
-        self.costs.update(
-            (item.id, stream(opex_stream_key(item.id), _ONE_EVENT, item.annual_amount))
-            for item in portfolio.opex
-        )
-        self.risks = {
-            scenario.id: tuple(
-                stream(
-                    risk_stream_key(scenario.id, state), scenario.frequency_for(state), scenario.sle
-                )
-                for state in risk_mod.STATES
-            )
-            for scenario in portfolio.register.scenarios
-        }
-
-
-def _plan_columns(plan: _Plan, n: int, column) -> SimulationResult:
-    """Rows of ``n`` iterations from ``column(words, freq, quantity)`` of each stream.
-
-    A risk state that does not apply loses nothing.
-    """
-
-    def columns(streams: dict) -> dict[str, np.ndarray]:
-        return {item_id: column(*stream) for item_id, stream in streams.items()}
-
-    scenario_losses = {
-        scenario_id: tuple(np.zeros(n) if stream is None else column(*stream) for stream in states)
-        for scenario_id, states in plan.risks.items()
+    streams = {
+        benefit_stream_key(item.id): (_ONE_EVENT, item.annual_value) for item in portfolio.benefits
     }
-    return _assemble_columns(
-        plan.portfolio, n, columns(plan.benefits), columns(plan.costs), scenario_losses
+    streams.update(
+        (capex_stream_key(item.id), (_ONE_EVENT, item.amount)) for item in portfolio.capex
     )
+    streams.update(
+        (opex_stream_key(item.id), (_ONE_EVENT, item.annual_amount)) for item in portfolio.opex
+    )
+    for scenario in portfolio.register.scenarios:
+        for state in risk_mod.STATES:
+            freq = scenario.frequency_for(state)
+            if freq is not None:
+                streams[risk_stream_key(scenario.id, state)] = (freq, scenario.sle)
+    return streams
 
 
 def _matrix(row: Sequence, n: int) -> np.ndarray:
@@ -257,18 +218,24 @@ def fsum_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _assemble_columns(
-    portfolio: Portfolio,
-    n: int,
-    benefit_values: dict[str, np.ndarray],
-    cost_values: dict[str, np.ndarray],
-    scenario_losses: dict[str, tuple[np.ndarray, np.ndarray]],
+    portfolio: Portfolio, n: int, columns: dict[str, np.ndarray]
 ) -> SimulationResult:
-    """Rows of ``n`` iterations from their per-item values and per-scenario losses.
+    """Rows of ``n`` iterations from each stream's column, keyed by stream key.
 
-    Every value is a column of length ``n``.  Benefit and cost rows come
-    from the module pipeline (``benefit_schedule``, ``tco_pair``) applied to
-    the columns; totals are ``math.fsum`` per row.
+    Every column has length ``n``; a risk state without a stream loses
+    nothing.  Benefit and cost rows come from the module pipeline
+    (``benefit_schedule``, ``tco_pair``) applied to the value columns;
+    totals are ``math.fsum`` per row.
     """
+    benefit_values = {item.id: columns[benefit_stream_key(item.id)] for item in portfolio.benefits}
+    cost_values = {item.id: columns[capex_stream_key(item.id)] for item in portfolio.capex}
+    cost_values.update((item.id, columns[opex_stream_key(item.id)]) for item in portfolio.opex)
+    scenario_losses = {}
+    for scenario in portfolio.register.scenarios:
+        keys = [risk_stream_key(scenario.id, state) for state in risk_mod.STATES]
+        scenario_losses[scenario.id] = tuple(
+            columns[key] if key in columns else np.zeros(n) for key in keys
+        )
     horizon = portfolio.horizon_years
     benefit_row = _matrix(
         benefits_mod.benefit_schedule(portfolio.benefits, horizon, benefit_values), n
@@ -317,8 +284,8 @@ def _assemble_columns(
 # (distributions.vector_sampler).  A draw numpy makes by a second try of its
 # rejection sampler, a PERT with a shape of 1, a long severity batch and a
 # Poisson count at rate 10 or more keep one positioned generator per
-# (stream, iteration).  The drawn columns go through _plan_columns, which
-# also reads the analytic means.
+# (stream, iteration).  The drawn columns, keyed by stream key, go through
+# _assemble_columns, as do the analytic means.
 # ---------------------------------------------------------------------------
 
 
@@ -392,10 +359,11 @@ def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
     mean, and a risk state's ``ale_analytic``.
     """
 
-    def column(words, freq, quantity) -> np.ndarray:
-        return np.full(1, mean(quantity) * frequency_mean(freq))
-
-    return _plan_columns(_Plan(portfolio), 1, column).outcomes[0]
+    columns = {
+        key: np.full(1, mean(quantity) * frequency_mean(freq))
+        for key, (freq, quantity) in _streams(portfolio).items()
+    }
+    return _assemble_columns(portfolio, 1, columns).outcomes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +373,13 @@ def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
 
 def _run_block(portfolio: Portfolio, master_seed: int, start: int, stop: int) -> SimulationResult:
     """Rows ``start`` to ``stop`` of a run, drawn in one kernel pass."""
-    plan = _Plan(portfolio, master_seed)
+    streams = _streams(portfolio)
     sampler = SubstreamSampler()
-    streams = [
-        stream
-        for stream in (*plan.benefits.values(), *plan.costs.values(), *chain(*plan.risks.values()))
-        if stream is not None
+    draws = [
+        _draw_stream(stream_words(master_seed, key), freq, quantity, sampler, start, stop)
+        for key, (freq, quantity) in streams.items()
     ]
-    draws = [_draw_stream(*stream, sampler, start, stop) for stream in streams]
-    drawn = dict(zip(streams, _draw_rounds(draws)))
-    return _plan_columns(plan, stop - start, lambda *stream: drawn[stream])
+    return _assemble_columns(portfolio, stop - start, dict(zip(streams, _draw_rounds(draws))))
 
 
 def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationResult:

@@ -160,6 +160,8 @@ def npv(cashflows: Sequence[float] | np.ndarray, rate: float) -> float | np.ndar
     if _is_block(cashflows):
         with _quiet():
             return _npv_rows(cashflows, rate)
+    if isinstance(cashflows, np.ndarray):  # one row: the list's bits and errors
+        cashflows = cashflows.tolist()
     if not cashflows:
         raise ValueError("cashflows must be nonempty")
     if rate <= -1.0:
@@ -204,6 +206,8 @@ def irr(cashflows: Sequence[float] | np.ndarray) -> float | None | np.ndarray:
     if _is_block(cashflows):
         with _quiet():
             return _irr_rows(cashflows)
+    if isinstance(cashflows, np.ndarray):  # one row: the list's bits and errors
+        cashflows = cashflows.tolist()
     if not cashflows:
         raise ValueError("cashflows must be nonempty")
     changes = cashflow_sign_changes(cashflows)
@@ -395,6 +399,8 @@ def payback_period(cashflows: Sequence[float] | np.ndarray) -> float | None | np
     if _is_block(cashflows):
         with _quiet():
             return _payback_rows(cashflows)
+    if isinstance(cashflows, np.ndarray):  # one row: the list's bits and errors
+        cashflows = cashflows.tolist()
     if not cashflows:
         raise ValueError("cashflows must be nonempty")
     cumulative = 0.0

@@ -671,26 +671,18 @@ def _pipeline_outcome(portfolio: Portfolio, seed: int, index: int):
     they are assembled as a one-row block.
     """
 
-    def draw(quantity, key):
-        return np.full(1, sample(quantity, RngStream(seed, key, index)))
-
-    benefit_values = {
-        b.id: draw(b.annual_value, benefit_stream_key(b.id)) for b in portfolio.benefits
-    }
-    cost_values = {c.id: draw(c.amount, capex_stream_key(c.id)) for c in portfolio.capex}
-    cost_values.update(
-        {o.id: draw(o.annual_amount, opex_stream_key(o.id)) for o in portfolio.opex}
-    )
-    scenario_losses = {
-        s.id: tuple(
-            np.full(
-                1, ale_simulate(s, state, RngStream(seed, risk_stream_key(s.id, state), index))
-            )
-            for state in ("current", "ai")
-        )
-        for s in portfolio.register.scenarios
-    }
-    block = _assemble_columns(portfolio, 1, benefit_values, cost_values, scenario_losses)
+    columns = {}
+    for key, quantity in [
+        *((benefit_stream_key(b.id), b.annual_value) for b in portfolio.benefits),
+        *((capex_stream_key(c.id), c.amount) for c in portfolio.capex),
+        *((opex_stream_key(o.id), o.annual_amount) for o in portfolio.opex),
+    ]:
+        columns[key] = np.full(1, sample(quantity, RngStream(seed, key, index)))
+    for s in portfolio.register.scenarios:
+        for state in ("current", "ai"):
+            key = risk_stream_key(s.id, state)
+            columns[key] = np.full(1, ale_simulate(s, state, RngStream(seed, key, index)))
+    block = _assemble_columns(portfolio, 1, columns)
     return dataclasses.replace(block.outcomes[0], index=index)
 
 
@@ -748,6 +740,33 @@ def test_random_portfolios_satisfy_core_invariants():
         for name in ENGINE_METRICS:
             summary = summarize(getattr(result, name).tolist())
             assert summary.min <= summary.p10 <= summary.p50 <= summary.p90 <= summary.max
+
+
+def test_stream_table_holds_every_stream_that_applies(reference_config):
+    # Every benefit, capex and opex key, then the key of each risk state that
+    # applies, in draw order; a state without a stream loses exactly 0.0.
+    gen = RngStream(20_261_019, "streams", 0).generator
+    portfolios = [reference_config.portfolio, *(_random_portfolio(gen) for _ in range(12))]
+    applies = {s.applies_to for p in portfolios for s in p.register.scenarios}
+    assert applies == {"both", "current_only", "ai_only"}
+    for portfolio in portfolios:
+        scenarios = portfolio.register.scenarios
+        assert list(engine._streams(portfolio)) == [
+            *(benefit_stream_key(b.id) for b in portfolio.benefits),
+            *(capex_stream_key(c.id) for c in portfolio.capex),
+            *(opex_stream_key(o.id) for o in portfolio.opex),
+            *(
+                risk_stream_key(s.id, state)
+                for s in scenarios
+                for state in ("current", "ai")
+                if s.applies_to in ("both", f"{state}_only")
+            ),
+        ]
+        result = run_simulation(portfolio, SimulationConfig(iterations=50, master_seed=5))
+        for s in scenarios:
+            for state, losses in zip(("current", "ai"), result.scenario_losses[s.id]):
+                if s.applies_to not in ("both", f"{state}_only"):
+                    assert losses.tobytes() == np.zeros(50).tobytes()
 
 
 def _bits(result) -> list[bytes]:

@@ -185,3 +185,23 @@ def test_evaluate_outcome_in_slices_keeps_the_bits(
     assert _column_bytes(evaluate_outcome(reference_simulation, discount)) == whole
     monkeypatch.setattr(valuation, "_SLICE_CELLS", 1)
     assert _column_bytes(evaluate_outcome(small, small_discount)) == small_whole
+
+
+def test_one_row_array_is_valued_as_its_list(reference_simulation):
+    # A row of a run's arrays, valued on its own, has the list's bits and
+    # errors: an empty row, and a discount that underflows to zero.
+    for flows in (reference_simulation.cash_flows, reference_simulation.cash_basis_flows):
+        for row in flows[:300]:
+            values = row.tolist()
+            assert npv(row, 0.07) == npv(values, 0.07)
+            assert irr(row) == irr(values)
+            assert payback_period(row) == payback_period(values)
+    empty = (ValueError, "cashflows must be nonempty")
+    assert _result(lambda: npv(np.array([]), 0.1)) == empty
+    assert _result(lambda: irr(np.array([]))) == empty
+    assert _result(lambda: payback_period(np.array([]))) == empty
+    long = np.full(200, 10.0)
+    long[0] = -100.0
+    underflow = _result(lambda: npv(long, -0.999))
+    assert underflow == _result(lambda: npv(long.tolist(), -0.999))
+    assert underflow[0] is ZeroDivisionError

@@ -25,6 +25,7 @@ from airoi.distributions import (
     SubstreamSampler,
     Triangular,
     Uniform,
+    fill_streams,
     make_batch_sampler,
     make_sampler,
     philox_block,
@@ -87,8 +88,10 @@ def test_stream_outputs_fill_every_missing_block():
     uniforms = StreamUniforms(words, 2**40, 2**40 + 30)
     rows = np.array([1, 4, 9, 29])
     first = np.array([0, 3, 13, 6])
-    doubles = uniforms.column(2, np.array([4, 9]))  # block 0 of two rows is already there
-    outputs = uniforms.outputs(rows, first, 9)
+    fill_streams([(uniforms, np.array([4, 9]), np.array([3, 3]))])
+    fill_streams([(uniforms, rows, first + 9)])  # block 0 of two rows is already there
+    doubles = uniforms._column(2, np.array([4, 9]))
+    outputs = uniforms._outputs(rows, first, 9)
     sampler = SubstreamSampler()
     for k, row in enumerate(rows.tolist()):
         raw = sampler.at(words, 2**40 + row).bit_generator.random_raw(first[k] + 9)
@@ -124,7 +127,8 @@ def test_one_fill_over_many_streams_gives_each_stream_its_own_words(monkeypatch)
             for row, end in zip(rows.tolist(), ends.tolist()):
                 if end:
                     first = np.zeros(1, dtype=np.int64)
-                    own = twin.outputs(np.array([row]), first, end)[0].tolist()
+                    fill_streams([(twin, np.array([row]), np.array([end]))])
+                    own = twin._outputs(np.array([row]), first, end)[0].tolist()
                     assert uniforms._outputs(np.array([row]), first, end)[0].tolist() == own
                     gen = sampler.at(twin.words, spans[shared.index(uniforms)][0] + row)
                     assert gen.bit_generator.random_raw(end).tolist() == own
@@ -216,9 +220,10 @@ def test_lognormal_and_pert_values_match_the_positioned_path():
         vector = vector_sampler(quantity)
         words = stream_words(int(rng.integers(2**63)), "values")
         start = int(rng.integers(0, 2**40))
-        outputs = StreamUniforms(words, start, start + rows).outputs(
-            np.arange(rows), np.zeros(rows, dtype=np.int64), vector.width
-        )
+        uniforms = StreamUniforms(words, start, start + rows)
+        every = np.arange(rows)
+        fill_streams([(uniforms, every, np.full(rows, vector.width))])
+        outputs = uniforms._outputs(every, np.zeros(rows, dtype=np.int64), vector.width)
         values, exact = vector.sums(outputs[:, None, :])
         draw = make_sampler(quantity)
         reference = [draw(sampler.at(words, start + i)) for i in range(rows)]
@@ -239,7 +244,8 @@ def test_lognormal_and_pert_batches_match_the_positioned_path():
         uniforms = StreamUniforms(words, 0, rows)
         for n in range(1, vector.max_events + 1):
             first = rng.integers(0, 6, size=rows)
-            outputs = uniforms.outputs(np.arange(rows), first, n * vector.width)
+            fill_streams([(uniforms, np.arange(rows), first + n * vector.width)])
+            outputs = uniforms._outputs(np.arange(rows), first, n * vector.width)
             sums, exact = vector.sums(outputs.reshape(rows, n, vector.width))
             reference = []
             for i in range(rows):
