@@ -9,8 +9,8 @@ numpy; they are importable from here too.
 
 from __future__ import annotations
 
-import ctypes
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -22,11 +22,12 @@ from .quantities import (  # noqa: F401  (their former home: re-exported)
     is_degenerate, mean, percentile, scaled, stream_words, support, validate, validate_frequency,
 )
 
-# Longest severity batch drawn as a vector: one-double families, and the
-# rejection-sampled ones (lognormal, PERT), for which a longer cap was slower
-# on wide portfolios.  Longer batches take the positioned scalar path.
-_MAX_UNIFORM_EVENTS = 64
-_MAX_WORD_EVENTS = 8
+# Longest severity batch drawn as a vector; longer batches take the
+# positioned scalar path.  PERT's is shorter: its batches read four outputs
+# a draw, and above 8 events the vector path was slower than the positioned
+# one on wide portfolios.
+_MAX_EVENTS = 64
+_MAX_PERT_EVENTS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -75,52 +76,6 @@ class RngStream:
         )
 
 
-def _philox_state_views(bit_generator: np.random.Philox):
-    """Writable views of a Philox's C state, or None if its layout is not the known one.
-
-    numpy's ``philox_state`` struct starts ``{uint64 *ctr; uint64 *key; int
-    buffer_pos; uint64 buffer[4]; int has_uint32; ...}``, and ``ctr`` and
-    ``key`` point into the Philox object itself.  Writing these fields
-    repositions the generator about three times faster than the ``state``
-    setter.  The layout is private to numpy, so the views are returned only
-    if every address lies inside the object and every field read through
-    them matches a state set through the public setter.
-    """
-    start = id(bit_generator)
-    end = start + bit_generator.__sizeof__()
-    address = bit_generator.ctypes.state_address
-
-    def inside(pointer: int, size: int) -> bool:
-        return start <= pointer and pointer + size <= end
-
-    if not inside(address, 64):
-        return None
-    pointers = (ctypes.c_uint64 * 2).from_address(address)
-    if not (inside(pointers[0], 32) and inside(pointers[1], 16)):
-        return None
-    counter = (ctypes.c_uint64 * 4).from_address(pointers[0])
-    key = (ctypes.c_uint64 * 2).from_address(pointers[1])
-    buffer_pos = ctypes.c_int.from_address(address + 16)
-    buffer = (ctypes.c_uint64 * 4).from_address(address + 24)
-    has_uint32 = ctypes.c_int.from_address(address + 56)
-    probe = [0x243F6A8885A308D3 + 7919 * i for i in range(10)]
-    bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array(probe[0:4], dtype=np.uint64),
-            "key": np.array(probe[4:6], dtype=np.uint64),
-        },
-        "buffer": np.array(probe[6:10], dtype=np.uint64),
-        "buffer_pos": 3,
-        "has_uint32": 1,
-        "uinteger": 5,
-    }
-    read = list(counter) + list(key) + list(buffer)
-    if read != probe or buffer_pos.value != 3 or has_uint32.value != 1:
-        return None
-    return counter, key, buffer_pos, has_uint32
-
-
 class SubstreamSampler:
     """Reusable generator for tight per-iteration loops.
 
@@ -142,26 +97,14 @@ class SubstreamSampler:
         }
         self._bit_generator = np.random.Philox(key=0)
         self.generator = np.random.Generator(self._bit_generator)
-        self._views = _philox_state_views(self._bit_generator)
 
     def at(self, words: tuple[int, int], iteration_index: int) -> np.random.Generator:
         """Position the shared generator at a (stream, iteration) pair."""
-        if self._views is None:
-            self._counter[2] = iteration_index & _MASK64
-            self._counter[3] = (iteration_index >> 64) & _MASK64
-            self._key[0] = words[0]
-            self._key[1] = words[1]
-            self._bit_generator.state = self._state
-        else:
-            counter, key, buffer_pos, has_uint32 = self._views
-            counter[0] = 0
-            counter[1] = 0
-            counter[2] = iteration_index & _MASK64
-            counter[3] = (iteration_index >> 64) & _MASK64
-            key[0] = words[0]
-            key[1] = words[1]
-            buffer_pos.value = 4  # buffer spent: the next draw encrypts a fresh block
-            has_uint32.value = 0
+        self._counter[2] = iteration_index & _MASK64
+        self._counter[3] = (iteration_index >> 64) & _MASK64
+        self._key[0] = words[0]
+        self._key[1] = words[1]
+        self._bit_generator.state = self._state
         return self.generator
 
 
@@ -179,8 +122,11 @@ def _resolve_generator(rng: "RngStream | np.random.Generator") -> np.random.Gene
 _PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_KEY_BUMPS = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
+# Each round multiplies counter words 0 and 2, stacked as the rows of one
+# array, by their multipliers: (low half, high half, whole) as columns.
 _PHILOX_HALVES = tuple(
-    (np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32), np.uint64(m)) for m in _PHILOX_MULTIPLIERS
+    np.array([[m0], [m1]], dtype=np.uint64)
+    for m0, m1 in zip(*((m & 0xFFFFFFFF, m >> 32, m) for m in _PHILOX_MULTIPLIERS))
 )
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -193,7 +139,7 @@ _PHILOX_CHUNK = 4096
 
 
 def _mulhilo(
-    halves: tuple[np.uint64, np.uint64, np.uint64],
+    halves: tuple[np.ndarray, np.ndarray, np.ndarray],
     x: np.ndarray,
     high: np.ndarray,
     low: np.ndarray,
@@ -201,11 +147,11 @@ def _mulhilo(
 ) -> None:
     """Write the high and low 64-bit words of ``multiplier * x``, from 32-bit halves.
 
-    ``halves`` is (low half, high half, whole) of the multiplier.  Each
-    step writes into ``high``, ``low`` or ``temps``, which have the shape
-    of ``x`` and alias neither it nor each other.  No partial sum
-    overflows: (2**32 - 1)**2 + 2 (2**32 - 1) < 2**64 (Warren, *Hacker's
-    Delight*, 2nd ed., 2012, section 8-2).
+    ``halves`` is (low half, high half, whole) of the multipliers, which
+    broadcast against ``x``.  Each step writes into ``high``, ``low`` or
+    ``temps``, which have the shape of ``x`` and alias neither it nor each
+    other.  No partial sum overflows: (2**32 - 1)**2 + 2 (2**32 - 1) < 2**64
+    (Warren, *Hacker's Delight*, 2nd ed., 2012, section 8-2).
     """
     m_lo, m_hi, m = halves
     x_lo, mid = temps
@@ -239,28 +185,24 @@ def philox_block(keys, iterations: np.ndarray, block: int | np.ndarray) -> np.nd
     must lie below 2**64.
     """
     shape = iterations.shape
-    c0 = np.empty(shape, dtype=np.uint64)
-    c0[...] = np.asarray(block).astype(np.uint64) + np.uint64(1)
-    c1 = np.zeros(shape, dtype=np.uint64)
-    c2 = iterations.astype(np.uint64)
-    c3 = np.zeros(shape, dtype=np.uint64)
-    hi0, lo0, hi1, lo1 = (np.empty(shape, dtype=np.uint64) for _ in range(4))
-    temps = (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64))
+    size = iterations.size
+    x = np.empty((2, size), dtype=np.uint64)  # counter words 0 and 2
+    x[0] = np.broadcast_to(np.asarray(block).astype(np.uint64) + np.uint64(1), shape).ravel()
+    x[1] = iterations.ravel()
+    y = np.zeros((2, size), dtype=np.uint64)  # counter words 1 and 3
+    high, low, *temps = (np.empty((2, size), dtype=np.uint64) for _ in range(4))
     # An array, so the bumps wrap modulo 2**64 without numpy's scalar overflow warning.
     key = np.asarray(keys, dtype=np.uint64).reshape(2, -1)
     for round_index in range(_PHILOX_ROUNDS):
         if round_index:
             key = key + _PHILOX_KEY_BUMPS
-        _mulhilo(_PHILOX_HALVES[0], c0, hi0, lo0, temps)
-        _mulhilo(_PHILOX_HALVES[1], c2, hi1, lo1, temps)
-        np.bitwise_xor(hi1, c1, hi1)
-        np.bitwise_xor(hi1, key[0], hi1)
-        np.bitwise_xor(hi0, c3, hi0)
-        np.bitwise_xor(hi0, key[1], hi0)
-        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0); the
-        # old counter words become the next round's output buffers.
-        c0, c1, c2, c3, hi1, lo1, hi0, lo0 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
-    return np.stack((c0, c1, c2, c3), axis=1)
+        _mulhilo(_PHILOX_HALVES, x, high, low, temps)
+        # (c0, c1, c2, c3) <- (hi(c2) ^ c1 ^ k0, lo(c2), hi(c0) ^ c3 ^ k1, lo(c0));
+        # the old words 1 and 3 become the next round's low-word buffer.
+        np.bitwise_xor(high[::-1], y, x)
+        np.bitwise_xor(x, key, x)
+        y, low = low[::-1], y
+    return np.stack((x[0], y[0], x[1], y[1]), axis=1).reshape(*shape, 4)
 
 
 def _doubles(raw: np.ndarray) -> np.ndarray:
@@ -316,7 +258,9 @@ class StreamUniforms:
         return _doubles(self._raw[rows, position])
 
     def _outputs(self, rows: np.ndarray, first: np.ndarray, length: int) -> np.ndarray:
-        return self._raw[rows[:, None], first[:, None] + np.arange(length)]
+        """Positions ``first[k]`` to ``first[k] + length - 1`` of ``rows[k]``, all filled."""
+        width = self._raw.shape[1]
+        return self._raw.take((rows * width + first)[:, None] + np.arange(length))
 
 
 def fill_streams(requests) -> None:
@@ -428,27 +372,65 @@ _LAYER = np.uint64(0xFF)
 _SIGN = np.uint64(0x100)
 _SHIFT9 = np.uint64(9)
 _MAGNITUDE = np.uint64((1 << 52) - 1)
-# The self-check's fixed sample: the first 64 outputs of iterations 0-127 of one stream.
+# The self-checks' fixed sample: the first 64 outputs of iterations 0-127 of one stream.
 _CHECK_WORDS = (0x452821E638D01377, 0xBE5466CF34E90C6C)
 _CHECK_ROWS = 128
 _CHECK_BLOCKS = 16
 _CHECK_SHAPES = (1.7, 4.3)
+# Batches of 1 to 24 events of each, summed by sum_draws (PERT's above 8 are misses).
+_CHECK_QUANTITIES = (Lognormal(1.0, 1.0), Pert(0.0, 0.175, 1.0))
 
 
-def _standard_normals(outputs: np.ndarray, tables) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's standard normal from each 64-bit output, and where it is exact.
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """``fn``, a :mod:`math` function, of each value.
+
+    The ``math`` functions are the C library's, as numpy's C samplers call
+    them; numpy's own ufuncs can differ from them in the last bit.
+    """
+    flat = values.ravel().tolist()
+    return np.fromiter(map(fn, flat), float, len(flat)).reshape(values.shape)
+
+
+def _log(values: np.ndarray) -> np.ndarray:
+    """The C library's log of each value in [0, inf]: -inf at 0, where ``math.log`` raises."""
+    zero = values == 0.0
+    if not zero.any():
+        return _libm(math.log, values)
+    logs = _libm(math.log, np.where(zero, 1.0, values))
+    logs[zero] = -math.inf
+    return logs
+
+
+def _values_in(counts: np.ndarray) -> list[int]:
+    """The distinct values of an array of small non-negative integers, in order.
+
+    ``np.unique`` would do, but its first call in a process imports
+    ``numpy.ma``, about 16 ms.
+    """
+    return np.flatnonzero(np.bincount(counts)).tolist()
+
+
+@dataclass(frozen=True, eq=False)  # hashed by identity: a key of _vector_sampler's cache
+class _Ziggurat:
+    """numpy's ziggurat tables as arrays (see ``_ziggurat``)."""
+
+    wi: np.ndarray
+    ki: np.ndarray
+
+
+def _standard_normals(outputs: np.ndarray, tables: _Ziggurat) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's standard normal from each 64-bit output, and where that is all it reads.
 
     ``Generator.standard_normal`` is a 256-layer ziggurat (Marsaglia &
     Tsang 2000, JSS 5(8)) that returns ``±rabs * wi[layer]`` from one
-    output when ``rabs`` lies below the layer's threshold; ``tables``
-    hold ``wi`` and the largest such ``rabs`` seen (see ``_ziggurat``).
+    output when ``rabs < ki[layer]``, and otherwise takes a second try
+    that reads more.
     """
-    wi, thr = tables
     layer = (outputs & _LAYER).astype(np.intp)
     rabs = ((outputs >> _SHIFT9) & _MAGNITUDE).astype(np.int64)
-    z = rabs * wi[layer]
+    z = rabs * tables.wi[layer]
     np.negative(z, out=z, where=(outputs & _SIGN) != 0)
-    return z, rabs <= thr[layer]
+    return z, rabs < tables.ki[layer]
 
 
 def _standard_gammas(
@@ -456,17 +438,27 @@ def _standard_gammas(
 ) -> tuple[np.ndarray, np.ndarray]:
     """numpy's gamma for ``shape > 1`` from one normal and one uniform output each.
 
-    Marsaglia & Tsang 2000 (ACM TOMS 26(3)) with numpy's arithmetic.  Exact
-    where the normal is, ``V > 0`` and the squeeze test accepts: the draws
-    that take one pass and no logarithm.
+    Marsaglia & Tsang 2000 (ACM TOMS 26(3)) with numpy's arithmetic.
+    Exact where that is all the draw reads: the normal takes one output,
+    ``V > 0``, and the first try accepts, by the squeeze or by the log
+    test, which reads no further output.
     """
     b = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9 * b)
     x, exact = _standard_normals(normal, tables)
+    u = _doubles(uniform)
     v = 1.0 + c * x
+    exact &= v > 0.0
+    v = v * v * v
     xx = x * x
-    exact &= (v > 0.0) & (_doubles(uniform) < 1.0 - 0.0331 * xx * xx)
-    return b * (v * v * v), exact
+    squeezed = u < 1.0 - 0.0331 * xx * xx
+    test = exact & ~squeezed
+    if test.any():
+        xt, vt = x[test], v[test]
+        # An infinite shape makes b * 0 a nan, which fails the test, as in numpy.
+        with np.errstate(invalid="ignore"):
+            squeezed[test] = _log(u[test]) < 0.5 * xt * xt + b * (1.0 - vt + _log(vt))
+    return b * v, exact & squeezed
 
 
 def _betas(
@@ -480,11 +472,13 @@ def _betas(
 
 
 def _passes_self_check(tables) -> bool:
-    """True if the vector normals and betas equal numpy's on a fixed sample.
+    """True if the vector normals, betas and batch sums equal numpy's on a fixed sample.
 
-    Each row of the sample is one positioned generator.  The normals it
-    draws from its outputs must match up to the first that is not exact,
-    and so must the betas it draws from them, four outputs each.
+    Each row of the sample is one positioned generator.  The normals and
+    betas drawn from its outputs must match up to the first that is not
+    exact, and :func:`sum_draws` of lognormal and PERT batches of 1 to 24
+    events, over the first 48 of them, must match
+    :func:`make_batch_sampler` wherever it draws them.
     """
     rows, blocks = _CHECK_ROWS, _CHECK_BLOCKS
     outputs = philox_block(
@@ -500,58 +494,77 @@ def _passes_self_check(tables) -> bool:
         prefix = np.logical_and.accumulate(exact, axis=1)
         return np.array_equal(drawn[prefix], np.array(reference)[prefix])
 
-    return agrees(*_standard_normals(outputs, tables), normals) and agrees(
-        *_betas(_CHECK_SHAPES, outputs.reshape(rows, blocks, 4), tables), betas
-    )
+    if not (
+        agrees(*_standard_normals(outputs, tables), normals)
+        and agrees(*_betas(_CHECK_SHAPES, outputs.reshape(rows, blocks, 4), tables), betas)
+    ):
+        return False
+    counts = np.arange(48) % 24 + 1
+    for q in _CHECK_QUANTITIES:
+        uniforms = StreamUniforms(_CHECK_WORDS, 0, counts.size)
+        consumed = np.zeros_like(counts)
+        sums, misses = _drain(sum_draws(_vector_sampler(q, tables), uniforms, counts, consumed))
+        batch = make_batch_sampler(q)
+        reference = [batch(sampler.at(_CHECK_WORDS, i), n) for i, n in enumerate(counts.tolist())]
+        drawn = np.ones(counts.size, dtype=bool)
+        drawn[misses] = False
+        if not np.array_equal(sums[drawn], np.array(reference)[drawn]):
+            return False
+    return True
 
 
 @lru_cache(maxsize=1)
-def _normal_tables():
-    """The ziggurat tables as (wi, thr) arrays, or None if they fail the self-check.
+def _normal_tables() -> _Ziggurat | None:
+    """The ziggurat tables, or None if they fail the self-check.
 
     Loaded on the first lognormal or PERT draw.  A table that disagrees
-    with the installed numpy turns the vector path off, as
-    :func:`_philox_state_views` turns off its shortcut.
+    with the installed numpy turns the vector path off.
     """
     from . import _ziggurat
 
-    tables = (np.array(_ziggurat.WI, dtype=float), np.array(_ziggurat.THR, dtype=np.int64))
+    tables = _Ziggurat(np.array(_ziggurat.WI, dtype=float), np.array(_ziggurat.KI, dtype=np.int64))
     return tables if _passes_self_check(tables) else None
 
 
 class VectorSampler(NamedTuple):
     """Exact vector draws of one quantity from 64-bit outputs.
 
-    ``sums(outputs)`` maps an array (rows, n, width) of consecutive outputs
-    to ``(sums of n draws, exact)``; a value, one event a year, is a sum of
-    one draw.  Where ``exact`` holds, a sum equals what
-    :func:`make_batch_sampler` returns from a generator whose next outputs
-    these are.  The other rows hold filler and must be drawn on the
-    positioned path, as must batches of more than ``max_events`` draws.
+    A draw that takes no second try reads ``width`` outputs:
+    ``draws(outputs)`` maps an array (rows, n, width) of them to
+    ``(draws, exact)``, where ``exact`` marks the draws that need no
+    more.  ``total(draws)`` maps an array (rows, n) of exact draws to
+    each row's batch sum, with the bits of :func:`make_batch_sampler`; a
+    value, one event a year, is a sum of one draw.  Batches with a draw
+    that is not exact, and batches of more than ``max_events``, take the
+    positioned path.
     """
 
     width: int
     max_events: int
-    sums: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    draws: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    total: Callable[[np.ndarray], np.ndarray]
 
 
 def vector_sampler(q: UncertainQuantity) -> VectorSampler | None:
     """The vector path of a non-degenerate ``q``, or None if it has none.
 
     Uniform and triangular draws are numpy's transforms of one
-    ``random()`` double.  Lognormal draws use one normal, PERT draws one
-    beta, drawn with numpy's rejection samplers on the draws that need no
-    second try.  None for PERT with a shape of exactly 1 (mode at an end),
-    which numpy draws as an exponential, and for lognormal and PERT when
-    the ziggurat table fails its self-check.
+    ``random()`` double, in batches of up to 64.  Lognormal draws use one
+    normal, in batches of up to 64; PERT draws one beta, in batches of up
+    to 8, above which the positioned path is faster.  Both use numpy's
+    rejection samplers on the draws that need no second try.  None for
+    PERT with a shape of exactly 1 (mode at an end), which numpy draws as
+    an exponential, and for lognormal and PERT when the ziggurat table
+    fails its self-check.
     """
-    if isinstance(q, (Lognormal, Pert)) and _normal_tables() is None:
-        return None
-    return _vector_sampler(q)
+    if not isinstance(q, (Lognormal, Pert)):
+        return _vector_sampler(q, None)
+    tables = _normal_tables()
+    return None if tables is None else _vector_sampler(q, tables)
 
 
 @lru_cache(maxsize=None)
-def _vector_sampler(q: UncertainQuantity) -> VectorSampler | None:
+def _vector_sampler(q: UncertainQuantity, tables: _Ziggurat | None) -> VectorSampler | None:
     if isinstance(q, Uniform):
         lo, width = q.lo, q.hi - q.lo
         return _from_doubles(lambda u: lo + width * u)
@@ -573,47 +586,48 @@ def _vector_sampler(q: UncertainQuantity) -> VectorSampler | None:
     if isinstance(q, Lognormal):
         median, sigma = q.median, q.sigma
 
-        def sums(outputs):
-            # math.exp, as the scalar path: numpy's exp can differ in the last
-            # bit.  Rows that are not exact take exp(0), so raise no OverflowError.
-            z, exact = _standard_normals(outputs.reshape(outputs.shape[0], -1), _normal_tables())
-            exact = exact.all(axis=1)
-            flat = np.where(exact[:, None], sigma * z, 0.0).ravel().tolist()
-            e = np.fromiter(map(math.exp, flat), float, len(flat)).reshape(z.shape)
-            # The reference's form for n <= 8: sequential adds from 0.0.
-            total = e[:, 0].copy()
+        def total(z):
             with np.errstate(over="ignore"):
+                if z.shape[1] > 8:
+                    # The reference's form for n > 8: numpy's exp and pairwise sum.
+                    return median * np.exp(sigma * z).sum(axis=1)
+                # For n <= 8: math.exp, as the scalar path (numpy's exp can
+                # differ in the last bit), and sequential adds from 0.0.
+                e = _libm(math.exp, sigma * z)
+                total = e[:, 0].copy()
                 for j in range(1, e.shape[1]):
                     total += e[:, j]
-                return median * total, exact
+                return median * total
 
-        return VectorSampler(1, _MAX_WORD_EVENTS, sums)
+        return VectorSampler(
+            1, _MAX_EVENTS, lambda outputs: _standard_normals(outputs[..., 0], tables), total
+        )
     if isinstance(q, Pert):
         lo, width = q.lo, q.hi - q.lo
         shapes = (1.0 + 4.0 * (q.mode - q.lo) / width, 1.0 + 4.0 * (q.hi - q.mode) / width)
         if 1.0 in shapes:
             return None
 
-        def sums(outputs):
-            # Four outputs per beta.
-            beta, exact = _betas(shapes, outputs.reshape(outputs.shape[0], -1, 4), _normal_tables())
+        def total(betas):
             with np.errstate(over="ignore", invalid="ignore"):
                 # numpy's per-row sum, as the batch's 1-D sum.
-                return lo * beta.shape[1] + width * beta.sum(axis=1), exact.all(axis=1)
+                return lo * betas.shape[1] + width * betas.sum(axis=1)
 
-        return VectorSampler(4, _MAX_WORD_EVENTS, sums)
+        return VectorSampler(
+            4, _MAX_PERT_EVENTS, lambda outputs: _betas(shapes, outputs, tables), total
+        )
     return None
 
 
 def _from_doubles(transform) -> VectorSampler:
     """The sampler of a family numpy draws from one ``random()`` double: always exact."""
 
-    def sums(outputs):
-        # numpy's per-row sum, as batch draws sum.
-        draws = transform(_doubles(outputs[..., 0]))
-        return draws.sum(axis=1), np.ones(outputs.shape[0], dtype=bool)
+    def draws(outputs):
+        values = transform(_doubles(outputs[..., 0]))
+        return values, np.ones(values.shape, dtype=bool)
 
-    return VectorSampler(1, _MAX_UNIFORM_EVENTS, sums)
+    # numpy's per-row sum, as batch draws sum.
+    return VectorSampler(1, _MAX_EVENTS, draws, lambda values: values.sum(axis=1))
 
 
 def sum_draws(
@@ -623,18 +637,23 @@ def sum_draws(
 
     A generator, as :func:`count_draws`: it yields one request for the
     draws of every row, and returns ``(sums, misses)``.  The rows in
-    ``misses`` (not exact, or a batch longer than ``vector.max_events``)
-    hold filler and must be drawn on the positioned path.
+    ``misses`` (a draw that is not exact, or a batch longer than
+    ``vector.max_events``) hold filler and must be drawn on the
+    positioned path.
     """
     sums = np.zeros(uniforms.rows)
     misses = [np.flatnonzero(counts > vector.max_events)]
     batched = np.flatnonzero((counts > 0) & (counts <= vector.max_events))
     yield uniforms, batched, consumed[batched] + counts[batched] * vector.width
-    for count in np.unique(counts[batched]).tolist():
+    for count in _values_in(counts[batched]):
         rows = np.flatnonzero(counts == count)
         outputs = uniforms._outputs(rows, consumed[rows], count * vector.width)
-        sums[rows], exact = vector.sums(outputs.reshape(rows.size, count, vector.width))
-        misses.append(rows[~exact])
+        draws, exact = vector.draws(outputs.reshape(rows.size, count, vector.width))
+        exact = exact.all(axis=1)
+        if not exact.all():
+            misses.append(rows[~exact])
+            rows, draws = rows[exact], draws[exact]
+        sums[rows] = vector.total(draws)
     return sums, np.concatenate(misses)
 
 
@@ -685,8 +704,10 @@ def count_draws(freq: FrequencyModel, uniforms: StreamUniforms):
     ``(counts, consumed)``: per row, the count and how many ``random()``
     values its draw used, so later draws of the same stream start at
     position ``consumed``.  Poisson rates below 10 use numpy's
-    multiplication method, one position per round.  Returns None where
-    numpy draws by rejection (Poisson rates of 10 or more).
+    multiplication method, four positions (one Philox block) per round;
+    rates of 10 or more its PTRS rejection sampler, two tries per round
+    (:func:`_poisson_ptrs`).
+    Returns None, for the positioned path, where PTRS fails its self-check.
     """
     rows = uniforms.rows
     if isinstance(freq, PointRate):
@@ -703,13 +724,16 @@ def count_draws(freq: FrequencyModel, uniforms: StreamUniforms):
         if lam == 0:
             return counts, counts.copy()
         if lam >= 10:
-            return None
+            if not _ptrs_passes_self_check():
+                return None
+            return (yield from _poisson_ptrs(lam, uniforms))
         threshold = math.exp(-lam)
         product = np.ones(rows)
         active = np.arange(rows)
         position = 0
         while active.size:
-            yield uniforms, active, np.full(active.size, position + 1)
+            if position % 4 == 0:  # the Philox block holding the next four positions
+                yield uniforms, active, np.full(active.size, position + 4)
             running = product[active] * uniforms._column(position, active)
             product[active] = running
             active = active[running > threshold]
@@ -717,3 +741,123 @@ def count_draws(freq: FrequencyModel, uniforms: StreamUniforms):
             position += 1
         return counts, counts + 1
     raise TypeError(f"unsupported frequency type {type(freq).__name__}")
+
+
+# numpy's random_poisson_ptrs (Hörmann 1993, Insurance: Mathematics and
+# Economics 12(1)), in its source's terms: b = B0 + B1 sqrt(lam),
+# a = A0 + A1 b, 1/alpha = I0 + I1 / (b - I2), v_r = V0 - V1 / (b - V2),
+# k = floor((2a / us + b) U + lam + K), and the bounds on us.
+_PTRS = {
+    "B0": 0.931, "B1": 2.53, "A0": -0.059, "A1": 0.02483, "I0": 1.1239, "I1": 1.1328,
+    "I2": 3.4, "V0": 0.9277, "V1": 3.6224, "V2": 2.0, "K": 0.43, "US": 0.07, "US_TAIL": 0.013,
+}
+# numpy's random_loggam: its Stirling series coefficients a[0..9], and log(2 pi).
+_LOGGAM = (
+    8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
+    -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
+    6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
+    -1.39243221690590e00,
+)
+_LOG_2PI = 1.8378770664093453
+_PTRS_CHECK_RATES = (10.0, 17.7, 1234.5, MAX_EVENT_RATE)
+
+
+@lru_cache(maxsize=1 << 16)
+def _loggam(x: float) -> float:
+    """numpy's random_loggam: log Gamma(x) for x > 0, with its operations."""
+    if x == 1.0 or x == 2.0:
+        return 0.0
+    n = int(7 - x) if x < 7.0 else 0
+    x0 = x + n
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = _LOGGAM[9]
+    for k in range(8, -1, -1):
+        gl0 *= x2
+        gl0 += _LOGGAM[k]
+    gl = gl0 / x0 + 0.5 * _LOG_2PI + (x0 - 0.5) * math.log(x0) - x0
+    for _ in range(n):
+        x0 -= 1.0
+        gl -= math.log(x0)
+    return gl
+
+
+def _loggams_after(k: np.ndarray) -> np.ndarray:
+    """``_loggam(k + 1)`` of each whole number ``k >= 0``, computed once per distinct value."""
+    distinct = np.sort(k)
+    distinct = distinct[np.diff(distinct, prepend=-1.0) != 0.0]
+    table = np.array([_loggam(x + 1.0) for x in distinct.tolist()])
+    return table[np.searchsorted(distinct, k)]
+
+
+def _poisson_ptrs(lam: float, uniforms: StreamUniforms):
+    """numpy's Poisson counts at ``lam >= 10``, as :func:`count_draws` returns them.
+
+    Each try reads two ``random()`` values, U and V; its quick accept and
+    its log test are numpy's, with the C library's ``log``.  Each round
+    fills the Philox block holding the next two tries of every row still
+    drawing.
+    """
+    p = _PTRS
+    b = p["B0"] + p["B1"] * math.sqrt(lam)
+    a = p["A0"] + p["A1"] * b
+    log_invalpha = math.log(p["I0"] + p["I1"] / (b - p["I2"]))
+    vr = p["V0"] - p["V1"] / (b - p["V2"])
+    loglam = math.log(lam)
+    counts = np.zeros(uniforms.rows, dtype=np.int64)
+    consumed = np.zeros(uniforms.rows, dtype=np.int64)
+    live = np.arange(uniforms.rows)
+    position = 0
+    while live.size:
+        if position % 4 == 0:
+            yield uniforms, live, np.full(live.size, position + 4)
+        u = uniforms._column(position, live) - 0.5
+        v = uniforms._column(position + 1, live)
+        us = 0.5 - np.abs(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.floor((2 * a / us + b) * u + lam + p["K"])
+        accept = (us >= p["US"]) & (v <= vr)
+        # numpy casts k to a 64-bit integer: -inf, nan and k >= 2**63 turn negative.
+        test = ~accept & (k >= 0) & (k < 2.0**63) & ((us >= p["US_TAIL"]) | (v <= us))
+        if test.any():
+            ut, kt = us[test], k[test]
+            lhs = _log(v[test]) + log_invalpha - _libm(math.log, a / (ut * ut) + b)
+            accept[test] = lhs <= kt * loglam - lam - _loggams_after(kt)
+        done = live[accept]
+        counts[done] = k[accept]
+        consumed[done] = position + 2
+        live = live[~accept]
+        position += 2
+    return counts, consumed
+
+
+def _drain(draw):
+    """Run one draw generator alone, filling each request as it comes; its return value."""
+    try:
+        while True:
+            fill_streams([next(draw)])
+    except StopIteration as done:
+        return done.value
+
+
+def _consumed(generator: np.random.Generator) -> int:
+    """Outputs a positioned generator has read: four per counter bump, less those still buffered."""
+    state = generator.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+
+
+@lru_cache(maxsize=1)
+def _ptrs_passes_self_check() -> bool:
+    """True if vector PTRS counts, and the outputs they read, equal numpy's on a fixed sample.
+
+    Run on the first draw of a Poisson rate of 10 or more: at rates from
+    10 to ``MAX_EVENT_RATE``, each over the positioned generators of
+    ``_CHECK_ROWS`` iterations of one stream.
+    """
+    sampler = SubstreamSampler()
+    for lam in _PTRS_CHECK_RATES:
+        counts, consumed = _drain(_poisson_ptrs(lam, StreamUniforms(_CHECK_WORDS, 0, _CHECK_ROWS)))
+        for i, (count, used) in enumerate(zip(counts.tolist(), consumed.tolist())):
+            generator = sampler.at(_CHECK_WORDS, i)
+            if generator.poisson(lam) != count or _consumed(generator) != used:
+                return False
+    return True

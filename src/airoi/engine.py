@@ -40,10 +40,12 @@ _ROW_FIELDS = ENGINE_METRICS + ("cash_flows", "cash_basis_flows", "tco_per_year"
 _EARLY_STOP_BLOCK = 1000
 # Iterations per kernel pass, whole early-stop steps: bounds the scratch arrays.
 _KERNEL_BLOCK = 4 * _EARLY_STOP_BLOCK
-# Streams drawn in one round: bounds the outputs that live streams hold to
-# 4 * _KERNEL_BLOCK stream-rows.  Fewer take more Philox passes.  Against
-# four, sixteen raised the peak RSS of a 1000-iteration reference run by
-# 0.5 MB, and one raised a 3x10^4 run's by 0.6 MB (allocator layout).
+# Streams drawn in one round over a full kernel pass; a shorter block keeps
+# proportionally more live, so the outputs that live streams hold stay
+# within 4 * _KERNEL_BLOCK stream-rows.  Fewer take more Philox passes, each
+# of which costs about 0.15 ms however short.  Against four, sixteen raised
+# the peak RSS of a 1000-iteration reference run by 0.5 MB, and one raised a
+# 3x10^4 run's by 0.6 MB (allocator layout).
 _ROUND_STREAMS = 4
 
 
@@ -278,14 +280,16 @@ def _assemble_columns(
 # Each (stream, iteration) pair owns its own Philox counter block, so a
 # stream can be drawn for every iteration of a block at once.  Every input
 # is a stream of events, values included (one event a year), so one draw
-# path serves them all.  Uniform, triangular, lognormal and PERT draws,
-# point-rate thinning and Poisson counts below rate 10 are computed from
-# vectorized Philox output with numpy's own arithmetic
-# (distributions.vector_sampler).  A draw numpy makes by a second try of its
-# rejection sampler, a PERT with a shape of 1, a long severity batch and a
-# Poisson count at rate 10 or more keep one positioned generator per
-# (stream, iteration).  The drawn columns, keyed by stream key, go through
-# _assemble_columns, as do the analytic means.
+# path serves them all.  Point-rate thinning, Poisson counts at every rate
+# (numpy's multiplication method below 10, its PTRS rejection sampler
+# above), and uniform, triangular, lognormal and PERT draws that numpy
+# accepts at the first try are computed from vectorized Philox output with
+# numpy's own arithmetic (distributions.count_draws, vector_sampler).  A
+# batch with a draw that needs a second try of the ziggurat or gamma
+# sampler, a PERT with a shape of 1, a batch of more than 64 events (8 for
+# PERT) and every draw after a failed self-check keep one positioned
+# generator per (stream, iteration).  The drawn columns, keyed by stream
+# key, go through _assemble_columns, as do the analytic means.
 # ---------------------------------------------------------------------------
 
 
@@ -323,17 +327,19 @@ def _draw_stream(words, freq, quantity, sampler: SubstreamSampler, start: int, s
     return totals
 
 
-def _draw_rounds(draws: list) -> list[np.ndarray]:
-    """The columns of ``draws``, stream generators over one block's rows, in order.
+def _draw_rounds(draws: list, rows: int) -> list[np.ndarray]:
+    """The columns of ``draws``, stream generators over one block's ``rows``, in order.
 
     Streams are drawn in lockstep rounds.  Each round fills the positions
     that every live stream asked for in one :func:`fill_streams` pass, then
     lets each read them and ask again.  A stream joins while fewer than
-    ``_ROUND_STREAMS`` are live, and leaves when it returns its column.
+    ``_ROUND_STREAMS`` times ``_KERNEL_BLOCK // rows`` are live, and leaves
+    when it returns its column.
     """
     columns: list = [None] * len(draws)
     waiting = deque(enumerate(draws))
     live: dict[int, tuple] = {}
+    most = _ROUND_STREAMS * max(1, _KERNEL_BLOCK // rows)
 
     def advance(index: int, draw) -> None:
         try:
@@ -343,7 +349,7 @@ def _draw_rounds(draws: list) -> list[np.ndarray]:
             columns[index] = done.value
 
     while waiting or live:
-        while waiting and len(live) < _ROUND_STREAMS:
+        while waiting and len(live) < most:
             advance(*waiting.popleft())
         if live:
             fill_streams([request for _, request in live.values()])
@@ -379,7 +385,8 @@ def _run_block(portfolio: Portfolio, master_seed: int, start: int, stop: int) ->
         _draw_stream(stream_words(master_seed, key), freq, quantity, sampler, start, stop)
         for key, (freq, quantity) in streams.items()
     ]
-    return _assemble_columns(portfolio, stop - start, dict(zip(streams, _draw_rounds(draws))))
+    columns = _draw_rounds(draws, stop - start)
+    return _assemble_columns(portfolio, stop - start, dict(zip(streams, columns)))
 
 
 def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationResult:

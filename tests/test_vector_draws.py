@@ -8,6 +8,8 @@ batch of one has ``make_sampler``'s bits, which lets the positioned path
 draw a one-event row with either.
 """
 
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -16,11 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airoi import _ziggurat, distributions
+from airoi import _ziggurat, distributions, engine
 from airoi.distributions import (
+    MAX_EVENT_RATE,
     Lognormal,
     Pert,
     Point,
+    PointRate,
+    PoissonRate,
     StreamUniforms,
     SubstreamSampler,
     Triangular,
@@ -33,6 +38,7 @@ from airoi.distributions import (
     vector_sampler,
 )
 from airoi.engine import SimulationConfig, run_simulation
+from airoi.risk import RiskRegister, RiskScenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -148,8 +154,9 @@ def test_vector_normals_match_numpy_over_a_million_draws():
     checked = np.logical_and.accumulate(exact, axis=1)
     assert checked.sum() >= 10**6
     assert (_bits(z[checked]) == _bits(reference[checked])).all()
+    # Every layer but 1 (whose ki is 0: it always takes the wedge) draws from one output.
     layers = (outputs[checked] & np.uint64(0xFF)).astype(int)
-    assert set(layers.tolist()) == set(range(2, 256))
+    assert set(layers.tolist()) == set(range(256)) - {1}
     assert exact.mean() > 0.98
 
 
@@ -224,43 +231,155 @@ def test_lognormal_and_pert_values_match_the_positioned_path():
         every = np.arange(rows)
         fill_streams([(uniforms, every, np.full(rows, vector.width))])
         outputs = uniforms._outputs(every, np.zeros(rows, dtype=np.int64), vector.width)
-        values, exact = vector.sums(outputs[:, None, :])
+        draws, exact = vector.draws(outputs[:, None, :])
+        values, exact = vector.total(draws), exact[:, 0]
         draw = make_sampler(quantity)
         reference = [draw(sampler.at(words, start + i)) for i in range(rows)]
         assert (_bits(values[exact]) == _bits(reference)[exact]).all()
-        assert exact.mean() > (0.95 if isinstance(quantity, Lognormal) else 0.75)
+        # The log test keeps most PERT draws whose squeeze fails on the vector
+        # path; a shape that overflows to inf leaves it only the squeeze.
+        assert exact.mean() > (0.97 if isinstance(quantity, Lognormal) else 0.85)
 
 
 def test_lognormal_and_pert_batches_match_the_positioned_path():
-    # Batches of 1-8 draws starting after a random number of count draws,
-    # as a severity batch starts after its event count.
+    # sum_draws over batches of 1 to max_events draws (9-64 for lognormal)
+    # starting after a random number of count draws, as a severity batch
+    # starts after its event count, against the positioned batch sampler.
     rng = np.random.default_rng(8)
     sampler = SubstreamSampler()
-    rows = 600
+    rows = 500
     for quantity in _quantities(rng):
         vector = vector_sampler(quantity)
         batch = make_batch_sampler(quantity)
         words = stream_words(int(rng.integers(2**63)), "batches")
+        counts = rng.integers(1, vector.max_events + 1, size=rows)
+        counts[: vector.max_events] = np.arange(1, vector.max_events + 1)
+        consumed = rng.integers(0, 6, size=rows)
         uniforms = StreamUniforms(words, 0, rows)
-        for n in range(1, vector.max_events + 1):
-            first = rng.integers(0, 6, size=rows)
-            fill_streams([(uniforms, np.arange(rows), first + n * vector.width)])
-            outputs = uniforms._outputs(np.arange(rows), first, n * vector.width)
-            sums, exact = vector.sums(outputs.reshape(rows, n, vector.width))
-            reference = []
-            for i in range(rows):
-                gen = sampler.at(words, i)
-                gen.random(int(first[i]))
-                reference.append(batch(gen, n))
-            assert (_bits(sums[exact]) == _bits(reference)[exact]).all()
-            assert exact.any()
+        sums, misses = distributions._drain(
+            distributions.sum_draws(vector, uniforms, counts, consumed)
+        )
+        reference = []
+        for i in range(rows):
+            gen = sampler.at(words, i)
+            gen.random(int(consumed[i]))
+            reference.append(batch(gen, int(counts[i])))
+        drawn = np.ones(rows, dtype=bool)
+        drawn[misses] = False
+        assert (_bits(sums[drawn]) == _bits(reference)[drawn]).all(), quantity
+        if vector.max_events > 8:  # lognormal sums of n > 8 take numpy's exp and pairwise sum
+            assert drawn[counts > 8].any(), quantity
+        assert drawn.mean() > 0.5, quantity
 
 
-def test_reference_run_keeps_its_positioned_draw_budget(monkeypatch, reference_config):
-    # Values and most severities draw as vectors.  A value path that fell
-    # back to positioned draws would raise the count; the self-check's own
-    # positioned draws are made before counting starts.
+@pytest.mark.parametrize(
+    "lam", [10.0, float(np.nextafter(10.0, np.inf)), 17.7, 100.0, 1e3, 1e4, MAX_EVENT_RATE]
+)
+def test_ptrs_counts_match_numpy(lam):
+    # numpy's PTRS sampler, positioned, against the vector counts and the
+    # outputs each count read, so severities start where numpy's do.
+    rows = 3000
+    words = stream_words(int(lam * 1000) % 2**63, "ptrs")
+    uniforms = StreamUniforms(words, 2**33, 2**33 + rows)
+    counts, consumed = distributions._drain(distributions.count_draws(PoissonRate(lam), uniforms))
+    sampler = SubstreamSampler()
+    for i in range(rows):
+        gen = sampler.at(words, 2**33 + i)
+        assert gen.poisson(lam) == counts[i]
+        assert distributions._consumed(gen) == consumed[i]
+    assert consumed.max() > 2  # some rows took a second try
+
+
+def _first_draw_kinds(words, rows, quantity):
+    """How numpy draws the first normal, or the first gamma of a PERT, of each iteration.
+
+    Classified from the positioned generator and the stream's outputs:
+    ``one output``, ``tail`` (layer 0), ``layer 1``, ``wedge accept`` and
+    ``wedge reject`` for the normal; for a PERT, ``squeeze`` or ``log test``
+    when its first try accepts from two outputs, ``log reject`` and
+    ``V <= 0`` otherwise.
+    """
+    sampler = SubstreamSampler()
+    kinds = {}
+    for i in range(rows):
+        gen = sampler.at(words, i)
+        first = int(gen.bit_generator.random_raw(3)[0])
+        gen = sampler.at(words, i)
+        x = gen.standard_normal()
+        used = distributions._consumed(gen)
+        layer = first & 0xFF
+        if used > 1:
+            kind = "tail" if layer == 0 else "layer 1" if layer == 1 else (
+                "wedge accept" if used == 2 else "wedge reject"
+            )
+        elif isinstance(quantity, Pert):
+            alpha = 1.0 + 4.0 * (quantity.mode - quantity.lo) / (quantity.hi - quantity.lo)
+            b = alpha - 1.0 / 3.0
+            v = 1.0 + x / math.sqrt(9 * b)
+            u = gen.random()
+            if v <= 0.0:
+                kind = "V <= 0"
+            elif u < 1.0 - 0.0331 * (x * x) * (x * x):
+                kind = "squeeze"
+            elif math.log(u) < 0.5 * x * x + b * (1.0 - v**3 + math.log(v**3)):
+                kind = "log test"
+            else:
+                kind = "log reject"
+        else:
+            kind = "one output"
+        kinds.setdefault(kind, []).append(i)
+    return kinds
+
+
+@pytest.mark.parametrize(
+    "quantity, positioned, vector",
+    [
+        (
+            Lognormal(100.0, 0.8),
+            ("tail", "layer 1", "wedge accept", "wedge reject"),
+            ("one output",),
+        ),
+        # alpha = 1.05, so that V = 1 + c x falls to 0 within the sample.
+        (
+            Pert(0.0, 0.0125, 1.0),
+            ("layer 1", "wedge accept", "log reject", "V <= 0"),
+            ("squeeze", "log test"),
+        ),
+    ],
+)
+def test_draws_that_need_a_second_try_take_the_positioned_path(quantity, positioned, vector):
+    # A value whose draw needs a second try of numpy's ziggurat or gamma
+    # sampler is drawn by the positioned generator, with its bits; one that
+    # numpy accepts from its first outputs (for a PERT, by the squeeze or by
+    # the log test) is drawn as a vector.
+    rows = 30_000
+    words = stream_words(17, "second tries")
+    kinds = _first_draw_kinds(words, rows, quantity)
+    at = SubstreamSampler.at
+    drawn_at = set()
+
+    class Recording(SubstreamSampler):
+        def at(self, words, iteration_index):
+            drawn_at.add(iteration_index)
+            return at(self, words, iteration_index)
+
+    column = distributions._drain(
+        engine._draw_stream(words, PointRate(1.0), quantity, Recording(), 0, rows)
+    )
+    draw = make_sampler(quantity)
+    sampler = SubstreamSampler()
+    for kind in positioned + vector:
+        picked = kinds[kind][:20]
+        assert picked, kind
+        reference = [draw(sampler.at(words, i)) for i in picked]
+        assert (_bits(column[picked]) == _bits(reference)).all(), kind
+        assert set(picked) <= drawn_at if kind in positioned else not set(picked) & drawn_at, kind
+
+
+def _counted_run(monkeypatch, portfolio, iterations):
+    """Positioned draws of a one-worker run of ``portfolio``, self-checks excluded."""
     assert distributions._normal_tables() is not None
+    assert distributions._ptrs_passes_self_check()
     calls = 0
     at = SubstreamSampler.at
 
@@ -270,16 +389,47 @@ def test_reference_run_keeps_its_positioned_draw_budget(monkeypatch, reference_c
         return at(self, words, iteration_index)
 
     monkeypatch.setattr(SubstreamSampler, "at", counted)
-    cfg = SimulationConfig(iterations=10_000, master_seed=42, worker_count=1)
-    run_simulation(reference_config.portfolio, cfg)
-    assert 0 < calls <= 5_904
+    cfg = SimulationConfig(iterations=iterations, master_seed=42, worker_count=1)
+    run_simulation(portfolio, cfg)
+    return calls
+
+
+def test_reference_run_keeps_its_positioned_draw_budget(monkeypatch, reference_config):
+    # Values and most severities draw as vectors.  A value path that fell
+    # back to positioned draws would raise the count; the self-checks' own
+    # positioned draws are made before counting starts.
+    assert 0 < _counted_run(monkeypatch, reference_config.portfolio, 10_000) <= 2_147
+
+
+def test_high_rate_run_keeps_its_positioned_draw_budget(monkeypatch, reference_config):
+    # Poisson rates of 10 to 18 draw their counts with the vector PTRS, and
+    # their batches of 9 to 40 lognormal, uniform and triangular events as
+    # vectors.  Positioned: PERT batches over 8 events, and draws that need
+    # a second try.
+    scenarios = tuple(
+        RiskScenario(
+            f"high-{k}", sle, "both",
+            frequency_current=PoissonRate(10.0 + 2 * k), frequency_ai=PoissonRate(17.9 - k),
+        )
+        for k, sle in enumerate(
+            (
+                Lognormal(20_000.0, 0.9),
+                Uniform(1_000.0, 9_000.0),
+                Triangular(500.0, 2_000.0, 8_000.0),
+                Pert(1_000.0, 3_000.0, 12_000.0),
+            )
+        )
+    )
+    portfolio = dataclasses.replace(reference_config.portfolio, register=RiskRegister(scenarios))
+    assert 0 < _counted_run(monkeypatch, portfolio, 2_000) <= 4_869
 
 
 def test_vector_paths_cover_the_families_numpy_draws_without_a_second_try():
     assert vector_sampler(Uniform(0.0, 1.0)).width == 1
     assert vector_sampler(Triangular(0.0, 0.5, 1.0)).max_events == 64
-    assert vector_sampler(Lognormal(1.0, 0.5)).max_events == 8
+    assert vector_sampler(Lognormal(1.0, 0.5)).max_events == 64
     assert vector_sampler(Pert(0.0, 0.5, 1.0)).width == 4
+    assert vector_sampler(Pert(0.0, 0.5, 1.0)).max_events == 8
     # A mode at an end makes a shape of 1, which numpy draws as an exponential.
     assert vector_sampler(Pert(0.0, 0.0, 1.0)) is None
     assert vector_sampler(Pert(0.0, 1.0, 1.0)) is None
@@ -294,7 +444,7 @@ def test_self_check_sample_reaches_every_layer():
     ).reshape(rows, 4 * blocks)
     _, exact = distributions._standard_normals(outputs, distributions._normal_tables())
     checked = np.logical_and.accumulate(exact, axis=1)
-    assert set((outputs[checked] & np.uint64(0xFF)).astype(int).tolist()) == set(range(2, 256))
+    assert set((outputs[checked] & np.uint64(0xFF)).astype(int).tolist()) == set(range(256)) - {1}
 
 
 @pytest.fixture
@@ -322,6 +472,53 @@ def test_corrupted_table_turns_the_vector_path_off(
     assert vector_sampler(Pert(0.0, 0.5, 1.0)) is None
     assert vector_sampler(Uniform(0.0, 1.0)) is not None
     assert run_simulation(portfolio, cfg).outcomes == expected
+
+
+@pytest.fixture
+def fresh_checks():
+    """Run both self-checks again before and after the test."""
+    distributions._normal_tables.cache_clear()
+    distributions._ptrs_passes_self_check.cache_clear()
+    yield
+    distributions._normal_tables.cache_clear()
+    distributions._ptrs_passes_self_check.cache_clear()
+
+
+@pytest.mark.parametrize("corrupted", ["KI", "PTRS"])
+def test_corrupted_ki_or_ptrs_constant_turns_only_its_path_off(
+    monkeypatch, fresh_checks, reference_config, corrupted
+):
+    # ki marks which normals come from one output; a PTRS constant shapes
+    # every high-rate count.  Either one wrong turns its own path off, and
+    # only it: the run keeps the bits of the vector paths.
+    scenarios = reference_config.portfolio.register.scenarios + (
+        RiskScenario("ln", Lognormal(5_000.0, 0.7), "both",
+                     frequency_current=PoissonRate(12.0), frequency_ai=PoissonRate(3.0)),
+        RiskScenario("pert", Pert(100.0, 400.0, 900.0), "current_only",
+                     frequency_current=PoissonRate(11.0)),
+    )
+    portfolio = dataclasses.replace(reference_config.portfolio, register=RiskRegister(scenarios))
+    cfg = SimulationConfig(iterations=1500, master_seed=42)
+    expected = run_simulation(portfolio, cfg).outcomes
+    distributions._normal_tables.cache_clear()
+    distributions._ptrs_passes_self_check.cache_clear()
+    if corrupted == "KI":
+        # Every wedge draw read as if it came from one output.
+        monkeypatch.setattr(_ziggurat, "KI", (2**52,) * 256)
+    else:
+        ptrs = dict(distributions._PTRS)
+        ptrs["K"] = 0.45  # numpy adds 0.43 before taking the floor
+        monkeypatch.setattr(distributions, "_PTRS", ptrs)
+    assert (distributions._normal_tables() is None) == (corrupted == "KI")
+    assert distributions._ptrs_passes_self_check() == (corrupted == "KI")
+    assert run_simulation(portfolio, cfg).outcomes == expected
+
+
+def test_ptrs_self_check_waits_for_a_high_rate(fresh_checks, reference_config):
+    # The reference portfolio has no Poisson rate of 10 or more, so its runs
+    # never pay for the PTRS self-check.
+    run_simulation(reference_config.portfolio, SimulationConfig(iterations=500, master_seed=3))
+    assert distributions._ptrs_passes_self_check.cache_info().currsize == 0
 
 
 def test_commands_that_draw_nothing_never_load_the_table(reference_config_path):
