@@ -134,7 +134,8 @@ _SHIFT11 = np.uint64(11)
 # numpy's next_double: the top 53 bits of a 64-bit output times 2**-53.
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0
 # (stream, iteration, block) triples per philox_block call of a fill: bounds
-# its ten working arrays (320 KB at this length), whatever a round asks for.
+# its six working arrays of two rows (384 KB at this length), whatever a
+# round asks for.
 _PHILOX_CHUNK = 4096
 
 
@@ -434,7 +435,7 @@ def _standard_normals(outputs: np.ndarray, tables: _Ziggurat) -> tuple[np.ndarra
 
 
 def _standard_gammas(
-    shape: float, normal: np.ndarray, uniform: np.ndarray, tables
+    shape: float, normal: np.ndarray, uniform: np.ndarray, tables: _Ziggurat
 ) -> tuple[np.ndarray, np.ndarray]:
     """numpy's gamma for ``shape > 1`` from one normal and one uniform output each.
 
@@ -451,18 +452,18 @@ def _standard_gammas(
     exact &= v > 0.0
     v = v * v * v
     xx = x * x
-    squeezed = u < 1.0 - 0.0331 * xx * xx
-    test = exact & ~squeezed
+    accepted = u < 1.0 - 0.0331 * xx * xx  # the squeeze
+    test = exact & ~accepted
     if test.any():
         xt, vt = x[test], v[test]
         # An infinite shape makes b * 0 a nan, which fails the test, as in numpy.
         with np.errstate(invalid="ignore"):
-            squeezed[test] = _log(u[test]) < 0.5 * xt * xt + b * (1.0 - vt + _log(vt))
-    return b * v, exact & squeezed
+            accepted[test] = _log(u[test]) < 0.5 * xt * xt + b * (1.0 - vt + _log(vt))
+    return b * v, exact & accepted
 
 
 def _betas(
-    shapes: tuple[float, float], outputs: np.ndarray, tables
+    shapes: tuple[float, float], outputs: np.ndarray, tables: _Ziggurat
 ) -> tuple[np.ndarray, np.ndarray]:
     """numpy's ``beta(a, b)`` (both shapes above 1) from outputs ``[..., 0:4]``: Ga / (Ga + Gb)."""
     ga, exact_a = _standard_gammas(shapes[0], outputs[..., 0], outputs[..., 1], tables)
@@ -471,7 +472,7 @@ def _betas(
         return ga / (ga + gb), exact_a & exact_b
 
 
-def _passes_self_check(tables) -> bool:
+def _passes_self_check(tables: _Ziggurat) -> bool:
     """True if the vector normals, betas and batch sums equal numpy's on a fixed sample.
 
     Each row of the sample is one positioned generator.  The normals and
