@@ -43,9 +43,8 @@ _KERNEL_BLOCK = 4 * _EARLY_STOP_BLOCK
 # Streams drawn in one round over a full kernel pass; a shorter block keeps
 # proportionally more live, so the outputs that live streams hold stay
 # within 4 * _KERNEL_BLOCK stream-rows.  Fewer take more Philox passes, each
-# of which costs about 0.15 ms however short.  Against four, sixteen raised
-# the peak RSS of a 1000-iteration reference run by 0.5 MB, and one raised a
-# 3x10^4 run's by 0.6 MB (allocator layout).
+# of which costs about 0.15 ms however short.  Against four, one raised a
+# 3x10^4 reference run's peak RSS by 0.6 MB (allocator layout).
 _ROUND_STREAMS = 4
 
 
