@@ -290,6 +290,13 @@ def test_ptrs_counts_match_numpy(lam):
     assert consumed.max() > 2  # some rows took a second try
 
 
+def test_loggam_is_log_gamma():
+    # numpy's Stirling series agrees with math.lgamma to a few ulp, so a
+    # wrong coefficient shows here even where it changes no sampled count.
+    for x in [float(n) for n in range(1, 3000)] + [1.5, 6.5, 7.5, 123.25, MAX_EVENT_RATE + 1]:
+        assert distributions._loggam(x) == pytest.approx(math.lgamma(x), rel=1e-13, abs=1e-13)
+
+
 def _first_draw_kinds(words, rows, quantity):
     """How numpy draws the first normal, or the first gamma of a PERT, of each iteration.
 
