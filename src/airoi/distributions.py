@@ -378,7 +378,7 @@ _CHECK_WORDS = (0x452821E638D01377, 0xBE5466CF34E90C6C)
 _CHECK_ROWS = 128
 _CHECK_BLOCKS = 16
 _CHECK_SHAPES = (1.7, 4.3)
-# Batches of 1 to 24 events of each, summed by sum_draws (PERT's above 8 are misses).
+# Their batches of 1 to 24 events, summed by sum_draws (PERT's above 8 are misses).
 _CHECK_QUANTITIES = (Lognormal(1.0, 1.0), Pert(0.0, 0.175, 1.0))
 
 
@@ -478,8 +478,8 @@ def _passes_self_check(tables: _Ziggurat) -> bool:
     Each row of the sample is one positioned generator.  The normals and
     betas drawn from its outputs must match up to the first that is not
     exact, and :func:`sum_draws` of lognormal and PERT batches of 1 to 24
-    events, over the first 48 of them, must match
-    :func:`make_batch_sampler` wherever it draws them.
+    events, two of each, must match :func:`make_batch_sampler` wherever it
+    draws them.
     """
     rows, blocks = _CHECK_ROWS, _CHECK_BLOCKS
     outputs = philox_block(
