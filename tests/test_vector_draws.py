@@ -303,8 +303,8 @@ def _first_draw_kinds(words, rows, quantity):
     Classified from the positioned generator and the stream's outputs:
     ``one output``, ``tail`` (layer 0), ``layer 1``, ``wedge accept`` and
     ``wedge reject`` for the normal; for a PERT, ``squeeze`` or ``log test``
-    when its first try accepts from two outputs, ``log reject`` and
-    ``V <= 0`` otherwise.
+    when its first try accepts from two outputs and the whole beta reads
+    four, ``log reject`` and ``V <= 0`` otherwise.
     """
     sampler = SubstreamSampler()
     kinds = {}
@@ -320,10 +320,13 @@ def _first_draw_kinds(words, rows, quantity):
                 "wedge accept" if used == 2 else "wedge reject"
             )
         elif isinstance(quantity, Pert):
-            alpha = 1.0 + 4.0 * (quantity.mode - quantity.lo) / (quantity.hi - quantity.lo)
+            width = quantity.hi - quantity.lo
+            alpha = 1.0 + 4.0 * (quantity.mode - quantity.lo) / width
             b = alpha - 1.0 / 3.0
             v = 1.0 + x / math.sqrt(9 * b)
             u = gen.random()
+            beta = sampler.at(words, i)
+            beta.beta(alpha, 1.0 + 4.0 * (quantity.hi - quantity.mode) / width)
             if v <= 0.0:
                 kind = "V <= 0"
             elif u < 1.0 - 0.0331 * (x * x) * (x * x):
@@ -332,6 +335,8 @@ def _first_draw_kinds(words, rows, quantity):
                 kind = "log test"
             else:
                 kind = "log reject"
+            if kind in ("squeeze", "log test") and distributions._consumed(beta) != 4:
+                kind = "second gamma"
         else:
             kind = "one output"
         kinds.setdefault(kind, []).append(i)
