@@ -122,11 +122,8 @@ def _resolve_generator(rng: "RngStream | np.random.Generator") -> np.random.Gene
 _PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_KEY_BUMPS = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
-# Each round multiplies counter words 0 and 2, stacked as the rows of one
-# array, by their multipliers: (low half, high half, whole) as columns.
 _PHILOX_HALVES = tuple(
-    np.array([[m0], [m1]], dtype=np.uint64)
-    for m0, m1 in zip(*((m & 0xFFFFFFFF, m >> 32, m) for m in _PHILOX_MULTIPLIERS))
+    (np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32), np.uint64(m)) for m in _PHILOX_MULTIPLIERS
 )
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -134,13 +131,12 @@ _SHIFT11 = np.uint64(11)
 # numpy's next_double: the top 53 bits of a 64-bit output times 2**-53.
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0
 # (stream, iteration, block) triples per philox_block call of a fill: bounds
-# its six working arrays of two rows (384 KB at this length), whatever a
-# round asks for.
+# its ten working arrays (320 KB at this length), whatever a round asks for.
 _PHILOX_CHUNK = 4096
 
 
 def _mulhilo(
-    halves: tuple[np.ndarray, np.ndarray, np.ndarray],
+    halves: tuple[np.uint64, np.uint64, np.uint64],
     x: np.ndarray,
     high: np.ndarray,
     low: np.ndarray,
@@ -148,11 +144,11 @@ def _mulhilo(
 ) -> None:
     """Write the high and low 64-bit words of ``multiplier * x``, from 32-bit halves.
 
-    ``halves`` is (low half, high half, whole) of the multipliers, which
-    broadcast against ``x``.  Each step writes into ``high``, ``low`` or
-    ``temps``, which have the shape of ``x`` and alias neither it nor each
-    other.  No partial sum overflows: (2**32 - 1)**2 + 2 (2**32 - 1) < 2**64
-    (Warren, *Hacker's Delight*, 2nd ed., 2012, section 8-2).
+    ``halves`` is (low half, high half, whole) of the multiplier.  Each
+    step writes into ``high``, ``low`` or ``temps``, which have the shape
+    of ``x`` and alias neither it nor each other.  No partial sum
+    overflows: (2**32 - 1)**2 + 2 (2**32 - 1) < 2**64 (Warren, *Hacker's
+    Delight*, 2nd ed., 2012, section 8-2).
     """
     m_lo, m_hi, m = halves
     x_lo, mid = temps
@@ -186,24 +182,28 @@ def philox_block(keys, iterations: np.ndarray, block: int | np.ndarray) -> np.nd
     must lie below 2**64.
     """
     shape = iterations.shape
-    size = iterations.size
-    x = np.empty((2, size), dtype=np.uint64)  # counter words 0 and 2
-    x[0] = np.broadcast_to(np.asarray(block).astype(np.uint64) + np.uint64(1), shape).ravel()
-    x[1] = iterations.ravel()
-    y = np.zeros((2, size), dtype=np.uint64)  # counter words 1 and 3
-    high, low, *temps = (np.empty((2, size), dtype=np.uint64) for _ in range(4))
+    c0 = np.empty(shape, dtype=np.uint64)
+    c0[...] = np.asarray(block).astype(np.uint64) + np.uint64(1)
+    c1 = np.zeros(shape, dtype=np.uint64)
+    c2 = iterations.astype(np.uint64)
+    c3 = np.zeros(shape, dtype=np.uint64)
+    hi0, lo0, hi1, lo1 = (np.empty(shape, dtype=np.uint64) for _ in range(4))
+    temps = (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64))
     # An array, so the bumps wrap modulo 2**64 without numpy's scalar overflow warning.
     key = np.asarray(keys, dtype=np.uint64).reshape(2, -1)
     for round_index in range(_PHILOX_ROUNDS):
         if round_index:
             key = key + _PHILOX_KEY_BUMPS
-        _mulhilo(_PHILOX_HALVES, x, high, low, temps)
-        # (c0, c1, c2, c3) <- (hi(c2) ^ c1 ^ k0, lo(c2), hi(c0) ^ c3 ^ k1, lo(c0));
-        # the old words 1 and 3 become the next round's low-word buffer.
-        np.bitwise_xor(high[::-1], y, x)
-        np.bitwise_xor(x, key, x)
-        y, low = low[::-1], y
-    return np.stack((x[0], y[0], x[1], y[1]), axis=1).reshape(*shape, 4)
+        _mulhilo(_PHILOX_HALVES[0], c0, hi0, lo0, temps)
+        _mulhilo(_PHILOX_HALVES[1], c2, hi1, lo1, temps)
+        np.bitwise_xor(hi1, c1, hi1)
+        np.bitwise_xor(hi1, key[0], hi1)
+        np.bitwise_xor(hi0, c3, hi0)
+        np.bitwise_xor(hi0, key[1], hi0)
+        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0); the
+        # old counter words become the next round's output buffers.
+        c0, c1, c2, c3, hi1, lo1, hi0, lo0 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
+    return np.stack((c0, c1, c2, c3), axis=1)
 
 
 def _doubles(raw: np.ndarray) -> np.ndarray:
@@ -259,9 +259,7 @@ class StreamUniforms:
         return _doubles(self._raw[rows, position])
 
     def _outputs(self, rows: np.ndarray, first: np.ndarray, length: int) -> np.ndarray:
-        """Positions ``first[k]`` to ``first[k] + length - 1`` of ``rows[k]``, all filled."""
-        width = self._raw.shape[1]
-        return self._raw.take((rows * width + first)[:, None] + np.arange(length))
+        return self._raw[rows[:, None], first[:, None] + np.arange(length)]
 
 
 def fill_streams(requests) -> None:
@@ -400,15 +398,6 @@ def _log(values: np.ndarray) -> np.ndarray:
     logs = _libm(math.log, np.where(zero, 1.0, values))
     logs[zero] = -math.inf
     return logs
-
-
-def _values_in(counts: np.ndarray) -> list[int]:
-    """The distinct values of an array of small non-negative integers, in order.
-
-    ``np.unique`` would do, but its first call in a process imports
-    ``numpy.ma``, about 16 ms.
-    """
-    return np.flatnonzero(np.bincount(counts)).tolist()
 
 
 @dataclass(frozen=True, eq=False)  # hashed by identity: a key of _vector_sampler's cache
@@ -646,7 +635,7 @@ def sum_draws(
     misses = [np.flatnonzero(counts > vector.max_events)]
     batched = np.flatnonzero((counts > 0) & (counts <= vector.max_events))
     yield uniforms, batched, consumed[batched] + counts[batched] * vector.width
-    for count in _values_in(counts[batched]):
+    for count in np.unique(counts[batched]).tolist():
         rows = np.flatnonzero(counts == count)
         outputs = uniforms._outputs(rows, consumed[rows], count * vector.width)
         draws, exact = vector.draws(outputs.reshape(rows.size, count, vector.width))
@@ -707,8 +696,8 @@ def count_draws(freq: FrequencyModel, uniforms: StreamUniforms):
     position ``consumed``.  Poisson rates below 10 use numpy's
     multiplication method, four positions (one Philox block) per round;
     rates of 10 or more its PTRS rejection sampler, two tries per round
-    (:func:`_poisson_ptrs`).
-    Returns None, for the positioned path, where PTRS fails its self-check.
+    (:func:`_poisson_ptrs`).  Returns None, for the positioned path, where
+    PTRS fails its self-check.
     """
     rows = uniforms.rows
     if isinstance(freq, PointRate):

@@ -40,11 +40,10 @@ _ROW_FIELDS = ENGINE_METRICS + ("cash_flows", "cash_basis_flows", "tco_per_year"
 _EARLY_STOP_BLOCK = 1000
 # Iterations per kernel pass, whole early-stop steps: bounds the scratch arrays.
 _KERNEL_BLOCK = 4 * _EARLY_STOP_BLOCK
-# Streams drawn in one round over a full kernel pass; a shorter block keeps
-# proportionally more live, so the outputs that live streams hold stay
-# within 4 * _KERNEL_BLOCK stream-rows.  Fewer take more Philox passes, each
-# of which costs about 0.15 ms however short.  Against four, one raised a
-# 3x10^4 reference run's peak RSS by 0.6 MB (allocator layout).
+# Streams drawn in one round: bounds the outputs that live streams hold to
+# 4 * _KERNEL_BLOCK stream-rows.  Fewer take more Philox passes.  Against
+# four, sixteen raised the peak RSS of a 1000-iteration reference run by
+# 0.5 MB, and one raised a 3x10^4 run's by 0.6 MB (allocator layout).
 _ROUND_STREAMS = 4
 
 
@@ -326,19 +325,17 @@ def _draw_stream(words, freq, quantity, sampler: SubstreamSampler, start: int, s
     return totals
 
 
-def _draw_rounds(draws: list, rows: int) -> list[np.ndarray]:
-    """The columns of ``draws``, stream generators over one block's ``rows``, in order.
+def _draw_rounds(draws: list) -> list[np.ndarray]:
+    """The columns of ``draws``, stream generators over one block's rows, in order.
 
     Streams are drawn in lockstep rounds.  Each round fills the positions
     that every live stream asked for in one :func:`fill_streams` pass, then
     lets each read them and ask again.  A stream joins while fewer than
-    ``_ROUND_STREAMS`` times ``_KERNEL_BLOCK // rows`` are live, and leaves
-    when it returns its column.
+    ``_ROUND_STREAMS`` are live, and leaves when it returns its column.
     """
     columns: list = [None] * len(draws)
     waiting = deque(enumerate(draws))
     live: dict[int, tuple] = {}
-    most = _ROUND_STREAMS * max(1, _KERNEL_BLOCK // rows)
 
     def advance(index: int, draw) -> None:
         try:
@@ -348,7 +345,7 @@ def _draw_rounds(draws: list, rows: int) -> list[np.ndarray]:
             columns[index] = done.value
 
     while waiting or live:
-        while waiting and len(live) < most:
+        while waiting and len(live) < _ROUND_STREAMS:
             advance(*waiting.popleft())
         if live:
             fill_streams([request for _, request in live.values()])
@@ -384,8 +381,7 @@ def _run_block(portfolio: Portfolio, master_seed: int, start: int, stop: int) ->
         _draw_stream(stream_words(master_seed, key), freq, quantity, sampler, start, stop)
         for key, (freq, quantity) in streams.items()
     ]
-    columns = _draw_rounds(draws, stop - start)
-    return _assemble_columns(portfolio, stop - start, dict(zip(streams, columns)))
+    return _assemble_columns(portfolio, stop - start, dict(zip(streams, _draw_rounds(draws))))
 
 
 def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationResult:

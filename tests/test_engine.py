@@ -775,9 +775,8 @@ def _bits(result) -> list[bytes]:
 
 
 def test_round_size_does_not_change_a_block(monkeypatch, reference_config):
-    # Streams drawn two at a time (one per kernel pass, over a 1500-row
-    # block), or all in one round, give the columns of streams drawn in
-    # rounds of the default size.  The added scenarios make sure that every
+    # Streams drawn one at a time, or all in one round, give the columns of
+    # streams drawn in rounds of the default size.  The added scenarios make sure that every
     # draw path that asks for positions runs: Poisson rates of 0, below 10 and
     # 10 or more, a PERT with a shape of 1, and lognormal batches of more than
     # 8 events.

@@ -242,34 +242,32 @@ def test_lognormal_and_pert_values_match_the_positioned_path():
 
 
 def test_lognormal_and_pert_batches_match_the_positioned_path():
-    # sum_draws over batches of 1 to max_events draws (9-64 for lognormal)
+    # sum_draws over batches of every length from 1 to max_events (64 for
+    # lognormal, whose sums above 8 take numpy's exp and pairwise sum)
     # starting after a random number of count draws, as a severity batch
-    # starts after its event count, against the positioned batch sampler.
+    # starts after its event count.
     rng = np.random.default_rng(8)
     sampler = SubstreamSampler()
-    rows = 500
+    rows = 600
     for quantity in _quantities(rng):
         vector = vector_sampler(quantity)
         batch = make_batch_sampler(quantity)
         words = stream_words(int(rng.integers(2**63)), "batches")
-        counts = rng.integers(1, vector.max_events + 1, size=rows)
-        counts[: vector.max_events] = np.arange(1, vector.max_events + 1)
-        consumed = rng.integers(0, 6, size=rows)
         uniforms = StreamUniforms(words, 0, rows)
-        sums, misses = distributions._drain(
-            distributions.sum_draws(vector, uniforms, counts, consumed)
-        )
-        reference = []
-        for i in range(rows):
-            gen = sampler.at(words, i)
-            gen.random(int(consumed[i]))
-            reference.append(batch(gen, int(counts[i])))
-        drawn = np.ones(rows, dtype=bool)
-        drawn[misses] = False
-        assert (_bits(sums[drawn]) == _bits(reference)[drawn]).all(), quantity
-        if vector.max_events > 8:  # lognormal sums of n > 8 take numpy's exp and pairwise sum
-            assert drawn[counts > 8].any(), quantity
-        assert drawn.mean() > 0.5, quantity
+        for n in range(1, vector.max_events + 1):
+            first = rng.integers(0, 6, size=rows)
+            sums, misses = distributions._drain(
+                distributions.sum_draws(vector, uniforms, np.full(rows, n), first)
+            )
+            exact = np.ones(rows, dtype=bool)
+            exact[misses] = False
+            reference = []
+            for i in range(rows):
+                gen = sampler.at(words, i)
+                gen.random(int(first[i]))
+                reference.append(batch(gen, n))
+            assert (_bits(sums[exact]) == _bits(reference)[exact]).all(), (quantity, n)
+            assert exact.any(), (quantity, n)
 
 
 @pytest.mark.parametrize(
@@ -344,27 +342,29 @@ def _first_draw_kinds(words, rows, quantity):
 
 
 @pytest.mark.parametrize(
-    "quantity, positioned, vector",
+    "quantity, rows, positioned, vector",
     [
+        # The tail is the rarest: 6 of these 30,000 normals.
         (
             Lognormal(100.0, 0.8),
+            30_000,
             ("tail", "layer 1", "wedge accept", "wedge reject"),
             ("one output",),
         ),
         # alpha = 1.05, so that V = 1 + c x falls to 0 within the sample.
         (
             Pert(0.0, 0.0125, 1.0),
+            5_000,
             ("layer 1", "wedge accept", "log reject", "V <= 0"),
             ("squeeze", "log test"),
         ),
     ],
 )
-def test_draws_that_need_a_second_try_take_the_positioned_path(quantity, positioned, vector):
+def test_draws_that_need_a_second_try_take_the_positioned_path(quantity, rows, positioned, vector):
     # A value whose draw needs a second try of numpy's ziggurat or gamma
     # sampler is drawn by the positioned generator, with its bits; one that
     # numpy accepts from its first outputs (for a PERT, by the squeeze or by
     # the log test) is drawn as a vector.
-    rows = 30_000
     words = stream_words(17, "second tries")
     kinds = _first_draw_kinds(words, rows, quantity)
     at = SubstreamSampler.at
