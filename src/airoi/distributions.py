@@ -2,14 +2,17 @@
 
 Sampling is driven by counter-based substreams so that the value drawn for
 a given (master seed, stream key, iteration) triple is identical on every
-platform and under any degree of parallelism.  The quantities themselves,
-their rules and moments live in :mod:`airoi.quantities`, which needs no
-numpy; they are importable from here too.
+platform and under any degree of parallelism.  This module owns every
+draw, behind one entry for a run, :func:`draw_streams`; which streams a
+portfolio has, and what their columns become, is :mod:`airoi.engine`'s.
+The quantities, their rules and moments live in :mod:`airoi.quantities`,
+which needs no numpy; they are importable from here too.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -22,10 +25,7 @@ from .quantities import (  # noqa: F401  (their former home: re-exported)
     is_degenerate, mean, percentile, scaled, stream_words, support, validate, validate_frequency,
 )
 
-# Longest severity batch drawn as a vector; longer batches take the
-# positioned scalar path.  PERT's is shorter: its batches read four outputs
-# a draw, and above 8 events the vector path was slower than the positioned
-# one on wide portfolios.
+# Longest severity batch drawn as a vector (see the stream kernel's policy).
 _MAX_EVENTS = 64
 _MAX_PERT_EVENTS = 8
 
@@ -493,7 +493,8 @@ def _passes_self_check(tables: _Ziggurat) -> bool:
     for q in _CHECK_QUANTITIES:
         uniforms = StreamUniforms(_CHECK_WORDS, 0, counts.size)
         consumed = np.zeros_like(counts)
-        sums, misses = _drain(sum_draws(_vector_sampler(q, tables), uniforms, counts, consumed))
+        vector = _vector_sampler(q, tables)
+        sums, misses = _draw_rounds([sum_draws(vector, uniforms, counts, consumed)])[0]
         batch = make_batch_sampler(q)
         reference = [batch(sampler.at(_CHECK_WORDS, i), n) for i, n in enumerate(counts.tolist())]
         drawn = np.ones(counts.size, dtype=bool)
@@ -524,9 +525,8 @@ class VectorSampler(NamedTuple):
     ``(draws, exact)``, where ``exact`` marks the draws that need no
     more.  ``total(draws)`` maps an array (rows, n) of exact draws to
     each row's batch sum, with the bits of :func:`make_batch_sampler`; a
-    value, one event a year, is a sum of one draw.  Batches with a draw
-    that is not exact, and batches of more than ``max_events``, take the
-    positioned path.
+    value, one event a year, is a sum of one draw.  It draws batches of up
+    to ``max_events``.
     """
 
     width: int
@@ -538,14 +538,11 @@ class VectorSampler(NamedTuple):
 def vector_sampler(q: UncertainQuantity) -> VectorSampler | None:
     """The vector path of a non-degenerate ``q``, or None if it has none.
 
-    Uniform and triangular draws are numpy's transforms of one
-    ``random()`` double, in batches of up to 64.  Lognormal draws use one
-    normal, in batches of up to 64; PERT draws one beta, in batches of up
-    to 8, above which the positioned path is faster.  Both use numpy's
-    rejection samplers on the draws that need no second try.  None for
-    PERT with a shape of exactly 1 (mode at an end), which numpy draws as
-    an exponential, and for lognormal and PERT when the ziggurat table
-    fails its self-check.
+    Uniform and triangular draws are numpy's transforms of one ``random()``
+    double; lognormal draws use one normal, and PERT draws one beta, from
+    numpy's rejection samplers.  None for PERT with a shape of exactly 1
+    (mode at an end), which numpy draws as an exponential, and for
+    lognormal and PERT when the ziggurat table fails its self-check.
     """
     if not isinstance(q, (Lognormal, Pert)):
         return _vector_sampler(q, None)
@@ -635,7 +632,7 @@ def sum_draws(
     misses = [np.flatnonzero(counts > vector.max_events)]
     batched = np.flatnonzero((counts > 0) & (counts <= vector.max_events))
     yield uniforms, batched, consumed[batched] + counts[batched] * vector.width
-    for count in np.unique(counts[batched]).tolist():
+    for count in np.flatnonzero(np.bincount(counts[batched])).tolist():
         rows = np.flatnonzero(counts == count)
         outputs = uniforms._outputs(rows, consumed[rows], count * vector.width)
         draws, exact = vector.draws(outputs.reshape(rows.size, count, vector.width))
@@ -820,15 +817,6 @@ def _poisson_ptrs(lam: float, uniforms: StreamUniforms):
     return counts, consumed
 
 
-def _drain(draw):
-    """Run one draw generator alone, filling each request as it comes; its return value."""
-    try:
-        while True:
-            fill_streams([next(draw)])
-    except StopIteration as done:
-        return done.value
-
-
 def _consumed(generator: np.random.Generator) -> int:
     """Outputs a positioned generator has read: four per counter bump, less those still buffered."""
     state = generator.bit_generator.state
@@ -845,9 +833,113 @@ def _ptrs_passes_self_check() -> bool:
     """
     sampler = SubstreamSampler()
     for lam in _PTRS_CHECK_RATES:
-        counts, consumed = _drain(_poisson_ptrs(lam, StreamUniforms(_CHECK_WORDS, 0, _CHECK_ROWS)))
+        uniforms = StreamUniforms(_CHECK_WORDS, 0, _CHECK_ROWS)
+        counts, consumed = _draw_rounds([_poisson_ptrs(lam, uniforms)])[0]
         for i, (count, used) in enumerate(zip(counts.tolist(), consumed.tolist())):
             generator = sampler.at(_CHECK_WORDS, i)
             if generator.poisson(lam) != count or _consumed(generator) != used:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Stream kernel
+#
+# Each (stream, iteration) pair owns its own Philox counter block, so a
+# stream is drawn for every iteration of a block at once, and every input,
+# a value being one event a year, takes one draw path.  Its draws are:
+#
+# - Vector, from the Philox words with numpy's own arithmetic: point-rate
+#   thinning, Poisson counts at every rate (count_draws), and uniform,
+#   triangular, lognormal and PERT batches whose every draw numpy accepts
+#   at the first try (vector_sampler, sum_draws).
+# - Positioned, one generator per (stream, iteration): a batch with a draw
+#   that needs a second try of the ziggurat or gamma sampler, a PERT with a
+#   shape of 1, every draw of a sampler that failed its self-check, and a
+#   batch of more than _MAX_EVENTS events, or _MAX_PERT_EVENTS for PERT:
+#   its batches read four outputs a draw, and above 8 events they were
+#   slower as vectors than positioned on wide portfolios.
+# ---------------------------------------------------------------------------
+
+# Streams drawn in one round: bounds the outputs that live streams hold to
+# 4 * (stop - start) stream-rows.  Fewer take more Philox passes.  Against
+# four, sixteen raised the peak RSS of a 1000-iteration reference run by
+# 0.5 MB, and one raised a 3x10^4 run's by 0.6 MB (allocator layout).
+_ROUND_STREAMS = 4
+
+
+def draw_streams(master_seed: int, streams: dict, start: int, stop: int) -> dict[str, np.ndarray]:
+    """Each stream's annual totals for iterations ``start`` to ``stop``, by stream key.
+
+    ``streams`` maps each key that seeds a stream's Philox words to its
+    (frequency, quantity).  Row ``r`` has the bits of the positioned
+    generator at iteration ``start + r``, however a run splits into calls.
+    """
+    sampler = SubstreamSampler()
+    draws = [
+        _draw_stream(stream_words(master_seed, key), freq, quantity, sampler, start, stop)
+        for key, (freq, quantity) in streams.items()
+    ]
+    return dict(zip(streams, _draw_rounds(draws)))
+
+
+def _draw_stream(words, freq, quantity, sampler: SubstreamSampler, start: int, stop: int):
+    """One stream's annual total per iteration: a value's draw or a risk state's loss.
+
+    Consumes the stream as ``sample`` and ``ale_simulate`` do.  A generator,
+    as :func:`count_draws`: it yields a request for the positions it reads
+    next, and returns the column.
+    """
+    uniforms = StreamUniforms(words, start, stop)
+    drawn = yield from count_draws(freq, uniforms)
+    totals = np.zeros(stop - start)
+    if drawn is None:
+        scalar_rows = range(stop - start)
+    else:
+        counts, consumed = drawn
+        if is_degenerate(quantity):
+            return np.where(counts > 0, degenerate_value(quantity) * counts, 0.0)
+        vector = vector_sampler(quantity)
+        if vector is None:
+            scalar_rows = np.flatnonzero(counts).tolist()
+        else:
+            totals, misses = yield from sum_draws(vector, uniforms, counts, consumed)
+            scalar_rows = misses.tolist()
+    count_draw = make_count_sampler(freq)
+    draw = make_sampler(quantity)
+    batch = make_batch_sampler(quantity)
+    at = sampler.at
+    for row in scalar_rows:
+        gen = at(words, start + row)
+        count = count_draw(gen)
+        # One draw has a batch of one's bits without numpy's array overhead.
+        totals[row] = draw(gen) if count == 1 else batch(gen, count) if count else 0.0
+    return totals
+
+
+def _draw_rounds(draws: list) -> list[np.ndarray]:
+    """The columns of ``draws``, stream generators over one block's rows, in order.
+
+    Streams are drawn in lockstep rounds.  Each round fills the positions
+    that every live stream asked for in one :func:`fill_streams` pass, then
+    lets each read them and ask again.  A stream joins while fewer than
+    ``_ROUND_STREAMS`` are live, and leaves when it returns its column.
+    """
+    columns: list = [None] * len(draws)
+    waiting = deque(enumerate(draws))
+    live: dict[int, tuple] = {}
+
+    def advance(index: int, draw) -> None:
+        try:
+            live[index] = (draw, next(draw))
+        except StopIteration as done:
+            live.pop(index, None)
+            columns[index] = done.value
+
+    while waiting or live:
+        while waiting and len(live) < _ROUND_STREAMS:
+            advance(*waiting.popleft())
+        fill_streams([request for _, request in live.values()])
+        for index, (draw, _) in list(live.items()):
+            advance(index, draw)
+    return columns

@@ -4,6 +4,8 @@ Every uncertain input owns a named substream, seeded by its stream key,
 and each iteration derives its generators independently, so results are
 identical for any worker count and unchanged for existing items when new
 ones are added.  Results are held as columns ordered by iteration index.
+It owns the stream table, the rows built from the streams' columns, the
+block schedule and early stopping; :mod:`airoi.distributions` draws.
 """
 
 from __future__ import annotations
@@ -21,17 +23,12 @@ import numpy as np
 from . import benefits as benefits_mod
 from . import costs as costs_mod
 from . import risk as risk_mod
-from .distributions import (
-    StreamUniforms, SubstreamSampler, count_draws, fill_streams, make_batch_sampler,
-    make_count_sampler, make_sampler, sum_draws, vector_sampler,
-)
+from .distributions import draw_streams
 from .model import (  # noqa: F401  (their former home: re-exported)
     ENGINE_METRICS, MAX_HORIZON_YEARS, MAX_ITERATIONS, Portfolio, SimulationConfig,
     validate_portfolio, validate_simulation,
 )
-from .quantities import (
-    PointRate, degenerate_value, frequency_mean, is_degenerate, mean, percentile, stream_words,
-)
+from .quantities import PointRate, frequency_mean, mean, percentile
 
 # The per-iteration arrays of a SimulationResult, in IterationOutcome order:
 # the engine metrics, then the per-year rows.
@@ -40,11 +37,6 @@ _ROW_FIELDS = ENGINE_METRICS + ("cash_flows", "cash_basis_flows", "tco_per_year"
 _EARLY_STOP_BLOCK = 1000
 # Iterations per kernel pass, whole early-stop steps: bounds the scratch arrays.
 _KERNEL_BLOCK = 4 * _EARLY_STOP_BLOCK
-# Streams drawn in one round: bounds the outputs that live streams hold to
-# 4 * _KERNEL_BLOCK stream-rows.  Fewer take more Philox passes.  Against
-# four, sixteen raised the peak RSS of a 1000-iteration reference run by
-# 0.5 MB, and one raised a 3x10^4 run's by 0.6 MB (allocator layout).
-_ROUND_STREAMS = 4
 
 
 @dataclass(frozen=True)
@@ -272,88 +264,6 @@ def _assemble_columns(
     )
 
 
-# ---------------------------------------------------------------------------
-# Stream-major kernel
-#
-# Each (stream, iteration) pair owns its own Philox counter block, so a
-# stream can be drawn for every iteration of a block at once.  Every input
-# is a stream of events, values included (one event a year), so one draw
-# path serves them all.  Point-rate thinning, Poisson counts at every rate
-# (numpy's multiplication method below 10, its PTRS rejection sampler
-# above), and uniform, triangular, lognormal and PERT draws that numpy
-# accepts at the first try are computed from vectorized Philox output with
-# numpy's own arithmetic (distributions.count_draws, vector_sampler).  A
-# batch with a draw that needs a second try of the ziggurat or gamma
-# sampler, a PERT with a shape of 1, a batch of more than 64 events (8 for
-# PERT) and every draw after a failed self-check keep one positioned
-# generator per (stream, iteration).  The drawn columns, keyed by stream
-# key, go through _assemble_columns, as do the analytic means.
-# ---------------------------------------------------------------------------
-
-
-def _draw_stream(words, freq, quantity, sampler: SubstreamSampler, start: int, stop: int):
-    """One stream's annual total per iteration: a value's draw or a risk state's loss.
-
-    Consumes the stream as ``sample`` and ``ale_simulate`` do.  A generator,
-    as :func:`count_draws`: it yields a request for the positions it reads
-    next, and returns the column.
-    """
-    uniforms = StreamUniforms(words, start, stop)
-    drawn = yield from count_draws(freq, uniforms)
-    totals = np.zeros(stop - start)
-    if drawn is None:
-        scalar_rows = range(stop - start)
-    else:
-        counts, consumed = drawn
-        if is_degenerate(quantity):
-            return np.where(counts > 0, degenerate_value(quantity) * counts, 0.0)
-        vector = vector_sampler(quantity)
-        if vector is None:
-            scalar_rows = np.flatnonzero(counts).tolist()
-        else:
-            totals, misses = yield from sum_draws(vector, uniforms, counts, consumed)
-            scalar_rows = misses.tolist()
-    count_draw = make_count_sampler(freq)
-    draw = make_sampler(quantity)
-    batch = make_batch_sampler(quantity)
-    at = sampler.at
-    for row in scalar_rows:
-        gen = at(words, start + row)
-        count = count_draw(gen)
-        # One draw has a batch of one's bits without numpy's array overhead.
-        totals[row] = draw(gen) if count == 1 else batch(gen, count) if count else 0.0
-    return totals
-
-
-def _draw_rounds(draws: list) -> list[np.ndarray]:
-    """The columns of ``draws``, stream generators over one block's rows, in order.
-
-    Streams are drawn in lockstep rounds.  Each round fills the positions
-    that every live stream asked for in one :func:`fill_streams` pass, then
-    lets each read them and ask again.  A stream joins while fewer than
-    ``_ROUND_STREAMS`` are live, and leaves when it returns its column.
-    """
-    columns: list = [None] * len(draws)
-    waiting = deque(enumerate(draws))
-    live: dict[int, tuple] = {}
-
-    def advance(index: int, draw) -> None:
-        try:
-            live[index] = (draw, next(draw))
-        except StopIteration as done:
-            live.pop(index, None)
-            columns[index] = done.value
-
-    while waiting or live:
-        while waiting and len(live) < _ROUND_STREAMS:
-            advance(*waiting.popleft())
-        if live:
-            fill_streams([request for _, request in live.values()])
-            for index, (draw, _) in list(live.items()):
-                advance(index, draw)
-    return columns
-
-
 def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
     """Deterministic evaluation with every sample replaced by its mean.
 
@@ -375,13 +285,8 @@ def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
 
 def _run_block(portfolio: Portfolio, master_seed: int, start: int, stop: int) -> SimulationResult:
     """Rows ``start`` to ``stop`` of a run, drawn in one kernel pass."""
-    streams = _streams(portfolio)
-    sampler = SubstreamSampler()
-    draws = [
-        _draw_stream(stream_words(master_seed, key), freq, quantity, sampler, start, stop)
-        for key, (freq, quantity) in streams.items()
-    ]
-    return _assemble_columns(portfolio, stop - start, dict(zip(streams, _draw_rounds(draws))))
+    columns = draw_streams(master_seed, _streams(portfolio), start, stop)
+    return _assemble_columns(portfolio, stop - start, columns)
 
 
 def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationResult:

@@ -111,6 +111,9 @@ def validate(
                 f"{label}: {family} requires lo <= mode <= hi, "
                 f"got ({q.lo}, {q.mode}, {q.hi})"
             )
+        elif family == "pert" and math.isinf(4.0 * max(q.mode - q.lo, q.hi - q.mode)):
+            # The beta shapes are 1 + 4 (mode - lo) / (hi - lo) and its mirror.
+            problems.append(f"{label}: pert shape overflows, got ({q.lo}, {q.mode}, {q.hi})")
     elif isinstance(q, Lognormal):
         if not (q.median > 0):
             problems.append(f"{label}: lognormal requires median > 0, got {q.median}")

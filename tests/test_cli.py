@@ -98,6 +98,16 @@ def test_duplicated_config_key_is_one_error(tmp_path, capsys, reference_config_p
     assert err == f"error: {path}: invalid JSON: duplicate key 'discount_rate'\n"
 
 
+def test_pert_whose_shape_overflows_is_one_error(tmp_path, capsys, reference_config_path):
+    # 4 (mode - lo) is inf, so every draw would be nan and simulate would fail late.
+    data = json.loads(reference_config_path.read_text())
+    pert = {"kind": "pert", "lo": -1e308, "mode": 0.0, "hi": 1e307}
+    data["benefits"].append({"id": "huge", "kind": "revenue_uplift", "annual_value": pert})
+    code, out, err = run_cli(capsys, "validate", str(write_config(tmp_path, data)))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.count("\n") == 1 and "pert shape overflows" in err
+
+
 def test_integer_past_the_digit_limit_is_invalid_json(tmp_path, capsys):
     # json refuses to convert an integer literal of more than 4300 digits.
     path = tmp_path / "config.json"
@@ -912,3 +922,30 @@ def test_commands_that_draw_nothing_start_without_numpy():
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == [loads, loads], command
+
+
+def test_drawing_commands_do_not_load_numpy_ma():
+    # numpy.ma costs about 8 ms of import; the severity batches group rows
+    # by count without np.unique, which loads it.
+    code = (
+        "import contextlib, io, sys\n"
+        "from airoi import cli\n"
+        "argv = [sys.argv[1], '--iterations', '1000', '--workers', '1']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['simulate', *argv]) == 0\n"
+        "    assert cli.main(['plotdata', *argv, '--metric', 'npv']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(REFERENCE_CONFIG)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

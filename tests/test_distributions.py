@@ -211,6 +211,12 @@ def test_validate_rejects_nonfinite_parameters():
     assert validate(Uniform(-1e307, 1e307)) == []
 
 
+def test_validate_rejects_a_pert_whose_shape_overflows():
+    # 4 (mode - lo) is inf, so every draw would be nan; a degenerate PERT stays valid.
+    assert len(validate(Pert(-1e308, 0.0, 1e307))) == 1
+    assert validate(Pert(1e307, 1e307, 1e307)) == []
+
+
 # -- frequency models ---------------------------------------------------------
 
 

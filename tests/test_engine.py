@@ -803,7 +803,7 @@ def test_round_size_does_not_change_a_block(monkeypatch, reference_config):
         portfolios.append(dataclasses.replace(portfolio, register=RiskRegister(scenarios)))
     together = [engine._run_block(portfolio, 42, 1_000, 2_500) for portfolio in portfolios]
     for streams in (1, 10**6):
-        monkeypatch.setattr(engine, "_ROUND_STREAMS", streams)
+        monkeypatch.setattr(distributions, "_ROUND_STREAMS", streams)
         for portfolio, expected in zip(portfolios, together):
             assert _bits(engine._run_block(portfolio, 42, 1_000, 2_500)) == _bits(expected)
 

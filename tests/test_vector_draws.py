@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airoi import _ziggurat, distributions, engine
+from airoi import _ziggurat, distributions
 from airoi.distributions import (
     MAX_EVENT_RATE,
     Lognormal,
@@ -256,9 +256,9 @@ def test_lognormal_and_pert_batches_match_the_positioned_path():
         uniforms = StreamUniforms(words, 0, rows)
         for n in range(1, vector.max_events + 1):
             first = rng.integers(0, 6, size=rows)
-            sums, misses = distributions._drain(
-                distributions.sum_draws(vector, uniforms, np.full(rows, n), first)
-            )
+            sums, misses = distributions._draw_rounds(
+                [distributions.sum_draws(vector, uniforms, np.full(rows, n), first)]
+            )[0]
             exact = np.ones(rows, dtype=bool)
             exact[misses] = False
             reference = []
@@ -279,7 +279,9 @@ def test_ptrs_counts_match_numpy(lam):
     rows = 3000
     words = stream_words(int(lam * 1000) % 2**63, "ptrs")
     uniforms = StreamUniforms(words, 2**33, 2**33 + rows)
-    counts, consumed = distributions._drain(distributions.count_draws(PoissonRate(lam), uniforms))
+    counts, consumed = distributions._draw_rounds(
+        [distributions.count_draws(PoissonRate(lam), uniforms)]
+    )[0]
     sampler = SubstreamSampler()
     for i in range(rows):
         gen = sampler.at(words, 2**33 + i)
@@ -375,9 +377,9 @@ def test_draws_that_need_a_second_try_take_the_positioned_path(quantity, rows, p
             drawn_at.add(iteration_index)
             return at(self, words, iteration_index)
 
-    column = distributions._drain(
-        engine._draw_stream(words, PointRate(1.0), quantity, Recording(), 0, rows)
-    )
+    column = distributions._draw_rounds(
+        [distributions._draw_stream(words, PointRate(1.0), quantity, Recording(), 0, rows)]
+    )[0]
     draw = make_sampler(quantity)
     sampler = SubstreamSampler()
     for kind in positioned + vector:
