@@ -90,6 +90,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OverflowError, ValueError) as exc:
         print(f"error: a result is outside the float range: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: the run does not fit in memory. {exc}".rstrip(), file=sys.stderr)
+        return EXIT_IO
 
 
 @cache

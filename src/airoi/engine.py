@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Sequence
@@ -319,7 +318,10 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
     held = []  # a pooled run's blocks, until the pool is shut down
     start = 0
     rows = cfg.iterations
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:  # only a pooled run loads the process-pool modules
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         walk = map if pool is None else partial(_bounded_map, pool, workers)
         for block in walk(run_block, bounds, bounds[1:]):
@@ -365,7 +367,7 @@ def _grown(result: SimulationResult, rows: int, size: int) -> SimulationResult:
     return result._map(grow)
 
 
-def _bounded_map(pool: ProcessPoolExecutor, depth: int, fn, *iterables):
+def _bounded_map(pool, depth: int, fn, *iterables):
     """``pool.map(fn, *iterables)`` with at most ``depth`` calls submitted and not yet read.
 
     ``pool.map`` submits every call at once, and a shutdown cannot cancel the

@@ -8,8 +8,8 @@ IRR, payback, and the ROI ratio per iteration.  Summaries report the 10th,
 Each metric function takes one iteration's flows, or an iterations x
 years array and then returns one value per row.  The one-row body is the
 reference: the array code repeats its float operations in the same order
-(sequential products and sums by ``accumulate``, per-row ``math.fsum``),
-so both give the same bits.
+(sequential products and sums, year by year or by ``accumulate``, per-row
+``math.fsum``), so both give the same bits.
 """
 
 from __future__ import annotations
@@ -147,14 +147,6 @@ def _quiet() -> np.errstate:
     return np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
-def _discounts(factors: np.ndarray, horizon: int) -> np.ndarray:
-    """Years x factors: the discounts 1, f, f*f, ... as the one-row loop multiplies them."""
-    steps = np.empty((horizon, factors.shape[0]))
-    steps[0] = 1.0
-    steps[1:] = factors
-    return np.multiply.accumulate(steps, axis=0)
-
-
 def npv(cashflows: Sequence[float] | np.ndarray, rate: float) -> float | np.ndarray:
     """Present value of year-indexed flows; year 0 is undiscounted."""
     if _is_block(cashflows):
@@ -180,7 +172,7 @@ def _npv_rows(flows: np.ndarray, rate: float) -> np.ndarray:
         raise ValueError("cashflows must be nonempty")
     if rate <= -1.0:
         raise ValueError(f"rate must exceed -1, got {rate}")
-    discount = _discounts(np.array([1.0 + rate]), flows.shape[1])[:, 0]
+    discount = np.multiply.accumulate(np.r_[1.0, np.full(flows.shape[1] - 1, 1.0 + rate)])
     if not discount.all():  # the one-row loop divides by the zero
         raise ZeroDivisionError("float division by zero")
     return fsum_rows(flows / discount)
@@ -279,13 +271,14 @@ def _bisect(f, lo: float, hi: float, f_lo: float, tolerance: float) -> float:
 def _npv_at(years: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """The one-row ``irr``'s f on each column of years x rows flows, at its own rate."""
     factors = 1.0 + rates
-    discount = _discounts(factors, years.shape[0])
-    # A sequential sum, as on one row (numpy's pairwise sum rounds
-    # differently).  It may end at -0.0 where one row ends at 0.0, which
-    # no comparison of f tells apart.
-    total = np.add.accumulate(years / discount, axis=0)[-1]
-    # Once a discount underflows to 0 it stays 0, so the last one tells.
-    fallback = np.flatnonzero(np.isnan(total) | (discount[-1] == 0))
+    discount = np.ones(rates.shape[0])
+    total = np.zeros(rates.shape[0])
+    for t, cf in enumerate(years):
+        if t:
+            discount *= factors
+        total += cf / discount
+    # Once a discount underflows to 0 it stays 0, so the last one used tells.
+    fallback = np.flatnonzero(np.isnan(total) | (discount == 0))
     if fallback.size:
         factors = factors[fallback]
         scaled = np.zeros(fallback.size)

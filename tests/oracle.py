@@ -1,9 +1,11 @@
-"""The cost and risk rules of README's configuration section, as plain loops over years.
+"""The cost, risk and valuation rules of README and the paper, as plain loops over years.
 
 An independent reading of the rules, for differential tests: it takes a
-config as JSON data and shares no code with ``airoi``.
+config as JSON data, or a row of yearly flows, and shares no code with
+``airoi``.
 """
 
+import itertools
 import math
 
 # EU AI Act fine tiers: (fixed cap in euros, share of global turnover).
@@ -100,3 +102,40 @@ def scenario_ales(config: dict) -> list[tuple[str, float, float]]:
         severity = quantity_mean(penalty["severity_fraction"]) * magnitude
         rows.append((penalty["id"], 0.0, severity * rate(penalty["violation_rate"])))
     return rows
+
+
+# The rates irr searches for a root, as its docstring states them.
+IRR_BRACKET = (-0.999, 10.0)
+
+
+def npv(flows, rate: float) -> float:
+    """Net present value: the sum of cf / (1 + rate)**t over years t = 0, 1, ..."""
+    return math.fsum(cf / (1 + rate) ** t for t, cf in enumerate(flows))
+
+
+def payback(flows) -> float | None:
+    """The first year whose running sum is >= 0, or None if none is.
+
+    When the sum before that year is negative, the year's flow accrues
+    uniformly over it, so the payback falls the share of it still owed
+    into the year.
+    """
+    before = 0.0
+    for year, (cf, running) in enumerate(zip(flows, itertools.accumulate(flows))):
+        if running >= 0:
+            return year - 1 + -before / cf if before < 0 else float(year)
+        before = running
+    return None
+
+
+def sign_changes(flows) -> int:
+    """Sign alternations between consecutive nonzero flows."""
+    signs = [cf > 0 for cf in flows if cf != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def is_irr(flows, root: float, within: float = 1e-9) -> bool:
+    """An IRR's defining property: the NPV is 0, or changes sign, within
+    ``within`` of ``root``."""
+    values = [npv(flows, rate) for rate in (root - within, root, root + within)]
+    return 0.0 in values or (values[0] < 0) != (values[2] < 0)

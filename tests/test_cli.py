@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from airoi import engine
 from airoi.benefits import benefit_schedule
 from airoi.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from airoi.config import load_config
@@ -307,6 +308,26 @@ def test_simulate_that_exits_two_writes_no_file(tmp_path, capsys):
     assert (code, out) == (EXIT_VALIDATION, "")
     assert err.startswith("error: a result is outside the float range: Out of range float")
     assert [p for p in (metrics, dump, out_path) if p.exists()] == []
+
+
+def test_simulate_that_runs_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # A stand-in raises the allocation failure, so none is reached: a run
+    # too large for memory exits 3 with one error line and writes no file.
+    path = str(write_config(tmp_path, minimal_config()))
+    metrics, out_path = tmp_path / "m.csv", tmp_path / "o.json"
+    for message in ("", "Unable to allocate 149. GiB for an array with shape (100000000, 200)"):
+
+        def exhausted(portfolio, sim):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(engine, "run_simulation", exhausted)
+        code, out, err = run_cli(
+            capsys, "simulate", path, "--iterations", "20", "--metrics-csv", str(metrics),
+            "--out", str(out_path),
+        )
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"error: the run does not fit in memory. {message}".rstrip() + "\n"
+        assert [p for p in (metrics, out_path) if p.exists()] == []
 
 
 def test_simulate_out_file_and_io_failure(tmp_path, capsys):
@@ -900,7 +921,8 @@ def test_track_loss_without_total_loss_is_a_diagnostic(tmp_path, capsys):
 def test_commands_that_draw_nothing_start_without_numpy():
     # Each command in a fresh interpreter: validate and delta read and check
     # the config only, so neither numpy nor the worker pool's module loads;
-    # evaluate computes, so it loads both.
+    # evaluate and a one-worker simulate compute, so they load numpy, but
+    # start no pool, so its modules stay unloaded.
     code = (
         "import contextlib, io, json, sys\n"
         "from airoi import cli\n"
@@ -912,16 +934,21 @@ def test_commands_that_draw_nothing_start_without_numpy():
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
     )
-    for command, loads in (("validate", False), ("delta", False), ("evaluate", True)):
+    for command, loads in (
+        (["validate"], [False, False]),
+        (["delta"], [False, False]),
+        (["evaluate"], [True, False]),
+        (["simulate", "--iterations", "1000", "--workers", "1"], [True, False]),
+    ):
         done = subprocess.run(
-            [sys.executable, "-c", code, command, str(REFERENCE_CONFIG)],
+            [sys.executable, "-c", code, command[0], str(REFERENCE_CONFIG), *command[1:]],
             env=env,
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == [loads, loads], command
+        assert json.loads(done.stdout) == loads, command
 
 
 def test_drawing_commands_do_not_load_numpy_ma():

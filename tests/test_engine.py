@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import multiprocessing
@@ -130,7 +131,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
     portfolio = small_portfolio()
     discount = DiscountSpec(portfolio.discount_rate)
@@ -503,7 +504,7 @@ def test_pooled_early_stop_draws_at_most_one_block_per_worker_past_it(monkeypatc
             submitted.append(args[-2:])
             return super().submit(fn, *args)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
     portfolio = small_portfolio()
     serial = run_simulation(portfolio, SimulationConfig(40_000, 6, target_relative_se=1e9))
@@ -521,7 +522,7 @@ def test_early_stop_decides_at_the_stopping_ratio(monkeypatch):
     # and 1e-9 relative either side of, the ratio after block 3 stop at the
     # same block serially and over three workers; only the targets within
     # the rule's error bound run the exact expression.
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
     portfolio = small_portfolio()
     iterations = 4_000

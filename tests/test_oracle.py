@@ -1,9 +1,11 @@
-"""The cost and risk rules against their independent reading in ``oracle.py``.
+"""The cost, risk and valuation rules against their independent reading in ``oracle.py``.
 
 Every cost row of ``tco_pair``, every ALE of ``delta_table``, and
 ``analytic_evaluate``'s ``tco_total`` and ``risk_delta`` must agree with
 the oracle to 1e-12 relative, on the reference config and on seeded random
-portfolios written out as configs.
+portfolios written out as configs.  So must ``evaluate_outcome``'s NPV and
+payback, one row at a time and over a run's columns, and its IRR must have
+the defining property of one.
 """
 
 import dataclasses
@@ -16,8 +18,9 @@ import oracle
 from airoi.config import parse_config
 from airoi.costs import tco_pair
 from airoi.quantities import PointRate
-from airoi.engine import analytic_evaluate
+from airoi.engine import SimulationConfig, SimulationResult, analytic_evaluate, run_simulation
 from airoi.risk import delta_table
+from airoi.valuation import DiscountSpec, evaluate_outcome
 from conftest import REFERENCE_CONFIG, minimal_config
 from test_engine import _random_portfolio
 
@@ -80,12 +83,15 @@ def _close(got: float, want: float, scale: float = 0.0) -> bool:
     return abs(got - want) <= 1e-12 * max(abs(got), abs(want), scale)
 
 
-def test_cost_and_risk_rules_match_the_oracle():
+def _configs() -> list[dict]:
+    """The reference config, then 24 seeded random ones."""
     gen = np.random.default_rng(2_026)
-    configs = [json.loads(REFERENCE_CONFIG.read_text())]
-    configs += [_random_config(gen) for _ in range(24)]
+    return [json.loads(REFERENCE_CONFIG.read_text())] + [_random_config(gen) for _ in range(24)]
+
+
+def test_cost_and_risk_rules_match_the_oracle():
     seen = set()
-    for data in configs:
+    for data in _configs():
         config, diagnostics = parse_config(data)
         assert config is not None, [str(d) for d in diagnostics]
         portfolio = config.portfolio
@@ -120,3 +126,73 @@ def test_cost_and_risk_rules_match_the_oracle():
             cap, share = oracle.PENALTY_TIERS[fine["tier"]]
             seen.add("cap" if cap > share * penalties["global_turnover"] else "turnover share")
     assert seen == {"cash_cost", "carrying_cost", "shared frequency", "cap", "turnover share"}
+
+
+def _one_row(outcome) -> SimulationResult:
+    """A one-iteration run holding ``outcome``'s totals and rows: what valuation reads."""
+    names = ("gross_benefits", "risk_reduction", "risk_increase", "tco_total", "risk_delta")
+    names += ("cash_flows", "cash_basis_flows", "tco_per_year")
+    rows = {name: np.array([getattr(outcome, name)]) for name in names}
+    return SimulationResult(**rows, benefit_values={}, cost_values={}, scenario_losses={})
+
+
+def _valued(columns) -> list[tuple]:
+    """(npv, irr, payback, multiple roots) of each row of a run's columns, None if undefined."""
+    irr_values = np.where(columns.defined["irr"], columns.irr, None)
+    paybacks = np.where(columns.defined["payback_years"], columns.payback_years, None)
+    return list(
+        zip(
+            columns.npv.tolist(),
+            irr_values.tolist(),
+            paybacks.tolist(),
+            columns.irr_multiple_roots_possible.tolist(),
+        )
+    )
+
+
+def _assert_valuation_matches(outcome, rate: float, valued: tuple, seen: set) -> None:
+    value, root, payback, multiple = valued
+    assert _close(value, oracle.npv(outcome.cash_flows, rate))
+    flows = outcome.cash_basis_flows
+    want = oracle.payback(flows)
+    assert (payback is None) == (want is None)
+    assert want is None or _close(payback, want), (payback, want)
+    changes = oracle.sign_changes(flows)
+    assert multiple == (changes > 1)
+    if root is not None:
+        assert oracle.is_irr(flows, root), (flows, root)
+        seen.add("irr")
+    elif changes == 1:  # one root at most, and none in the bracket
+        ends = [oracle.npv(flows, end) for end in oracle.IRR_BRACKET]
+        assert 0.0 not in ends and (ends[0] < 0) == (ends[1] < 0), flows
+        seen.add("no irr")
+    seen.add("payback" if payback is not None else "no payback")
+
+
+def _assert_rows_match(outcomes, result: SimulationResult, rate: float, seen: set) -> None:
+    """Each outcome valued on its own, and as its row of ``result``, against the oracle."""
+    discount = DiscountSpec(rate)
+    for outcome, row in zip(outcomes, _valued(evaluate_outcome(result, discount)), strict=True):
+        one = evaluate_outcome(outcome, discount)
+        for valued in ((one.npv, one.irr, one.payback_years, one.irr_multiple_roots_possible), row):
+            _assert_valuation_matches(outcome, rate, valued, seen)
+
+
+def test_valuation_rules_match_the_oracle():
+    # Every analytic outcome, and 2,000 simulated reference rows.
+    portfolios = []
+    for data in _configs():
+        config, diagnostics = parse_config(data)
+        assert config is not None, [str(d) for d in diagnostics]
+        portfolios.append(config.portfolio)
+    outcomes = [(analytic_evaluate(p), p.discount_rate) for p in portfolios]
+    reference, rate = outcomes[0]
+    # One sign change each, with the root below and above the bracket.
+    for flows in ((-100.0, 0.01, 0.0, 0.0, 0.0), (-1.0, 1e6, 0.0, 0.0, 0.0)):
+        outcomes.append((dataclasses.replace(reference, cash_basis_flows=flows), rate))
+    seen = set()
+    for outcome, rate in outcomes:
+        _assert_rows_match([outcome], _one_row(outcome), rate, seen)
+    result = run_simulation(portfolios[0], SimulationConfig(iterations=2_000, master_seed=42))
+    _assert_rows_match(result.outcomes, result, portfolios[0].discount_rate, seen)
+    assert seen == {"irr", "no irr", "payback", "no payback"}

@@ -205,3 +205,52 @@ def test_one_row_array_is_valued_as_its_list(reference_simulation):
     underflow = _result(lambda: npv(long, -0.999))
     assert underflow == _result(lambda: npv(long.tolist(), -0.999))
     assert underflow[0] is ZeroDivisionError
+
+
+def _f(flows: list[float], rate: float) -> float:
+    """``irr``'s f restated: a plain sum from 0.0; a division by zero or a
+    nan total takes the sign of the Horner value as an infinity."""
+    factor = 1.0 + rate
+    discount, total = 1.0, 0.0
+    try:
+        for cf in flows:
+            total += cf / discount
+            discount *= factor
+        if not math.isnan(total):
+            return total
+    except ZeroDivisionError:
+        pass
+    scaled = 0.0
+    for cf in flows:
+        scaled = scaled * factor + cf
+    return math.copysign(math.inf, scaled) if scaled else 0.0
+
+
+def test_npv_at_has_the_bits_of_the_one_row_f():
+    # By bit pattern, so a -0.0 where one row sums to 0.0 fails, as do the
+    # sign of an infinity and the fallback's choice.
+    gen = RngStream(20_261_020, "valuation-f", 0).generator
+    lo, hi = valuation._IRR_BRACKET
+    step = (hi - lo) / valuation._IRR_GRID_POINTS
+    rates = [lo, hi, lo + step, lo + 7 * step, lo + 104 * step, 0.5 * (lo + hi)]
+    special = [0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan, 1.0, -1.0, 5e-324]
+    for horizon in (1, 2, 5, 40, 200):
+        rows = [[0.0] * horizon, [-0.0] * horizon, [-0.0] + [0.0] * (horizon - 1)]
+        # A tiny last flow: the discount that divides it underflows at the
+        # lower bracket end over a long horizon, and the Horner sign decides.
+        rows += [[-1.0] + [0.0] * (horizon - 2) + [1e-17] * min(1, horizon - 1)]
+        rows += [[1e308] * horizon, [-1.0] * (horizon - 1) + [1e308]]
+        for _ in range(60):
+            row = gen.normal(0.0, 1e4, horizon)
+            picks = gen.random(horizon) < 0.3
+            row[picks] = gen.choice(special, int(picks.sum()))
+            rows.append(row.tolist())
+        columns = [(row, rate) for row in rows for rate in rates]
+        years = np.array([row for row, _ in columns]).T
+        with valuation._quiet():
+            got = valuation._npv_at(years, np.array([rate for _, rate in columns]))
+        expected = np.array([_f(row, rate) for row, rate in columns])
+        differ = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+        assert differ.size == 0, [columns[i] for i in differ[:3]]
+    # One row sums -0.0 from 0.0 to 0.0.
+    assert valuation._npv_at(np.array([[-0.0]]), np.array([0.1])).view(np.uint64).tolist() == [0]
