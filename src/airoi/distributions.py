@@ -297,39 +297,12 @@ def fill_streams(requests) -> None:
 
 
 @lru_cache(maxsize=None)
-def make_sampler(q: UncertainQuantity):
-    """Compile ``q`` into a single-draw closure over a generator.
-
-    The closure consumes the generator's stream exactly as repeated
-    :func:`sample` calls would; hot loops use it to skip per-call dispatch.
-    """
-    if is_degenerate(q):
-        value = degenerate_value(q)
-        return lambda gen: value
-    if isinstance(q, Uniform):
-        lo, hi = q.lo, q.hi
-        return lambda gen: float(gen.uniform(lo, hi))
-    if isinstance(q, Triangular):
-        lo, mode, hi = q.lo, q.mode, q.hi
-        return lambda gen: float(gen.triangular(lo, mode, hi))
-    if isinstance(q, Pert):
-        lo, width = q.lo, q.hi - q.lo
-        alpha = 1.0 + 4.0 * (q.mode - q.lo) / width
-        beta = 1.0 + 4.0 * (q.hi - q.mode) / width
-        return lambda gen: lo + width * float(gen.beta(alpha, beta))
-    if isinstance(q, Lognormal):
-        median, sigma = q.median, q.sigma
-        return lambda gen: median * math.exp(sigma * float(gen.standard_normal()))
-    raise TypeError(f"unsupported quantity type {type(q).__name__}")
-
-
-@lru_cache(maxsize=None)
 def make_batch_sampler(q: UncertainQuantity):
     """Compile ``q`` into a closure summing ``n`` draws in one vector call.
 
-    Consumes the bit stream exactly as ``n`` sequential :func:`sample`
-    calls would (numpy vector draws advance the stream identically); the
-    sum itself is accumulated in vector order.
+    Consumes the bit stream exactly as ``n`` single numpy draws would
+    (numpy vector draws advance the stream identically); the sum itself
+    is accumulated in vector order.
     """
     if is_degenerate(q):
         value = degenerate_value(q)
@@ -646,7 +619,7 @@ def sum_draws(
 
 def sample(q: UncertainQuantity, rng: "RngStream | np.random.Generator") -> float:
     """Draw one value from ``q``; a Point returns its value without a draw."""
-    return make_sampler(q)(_resolve_generator(rng))
+    return make_batch_sampler(q)(_resolve_generator(rng), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -906,14 +879,12 @@ def _draw_stream(words, freq, quantity, sampler: SubstreamSampler, start: int, s
             totals, misses = yield from sum_draws(vector, uniforms, counts, consumed)
             scalar_rows = misses.tolist()
     count_draw = make_count_sampler(freq)
-    draw = make_sampler(quantity)
     batch = make_batch_sampler(quantity)
     at = sampler.at
     for row in scalar_rows:
         gen = at(words, start + row)
         count = count_draw(gen)
-        # One draw has a batch of one's bits without numpy's array overhead.
-        totals[row] = draw(gen) if count == 1 else batch(gen, count) if count else 0.0
+        totals[row] = batch(gen, count) if count else 0.0
     return totals
 
 

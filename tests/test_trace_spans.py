@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from conftest import REFERENCE_CONFIG, REPO_ROOT
 
 PERFBENCH = REPO_ROOT / "perfbench"
@@ -68,11 +69,13 @@ def _reject(constant: str):
     raise ValueError(f"non-finite value {constant} in the result line")
 
 
-def test_traced_benchmark_prints_every_per_layer_metric():
-    # The shortest workload; its run also gates every output against the
-    # pinned seed-42 digests.
+@pytest.mark.parametrize("workload", ["interactive", "wide"])
+def test_traced_benchmark_prints_every_per_layer_metric(workload):
+    # interactive is the shortest workload, and wide's traced simulate is the
+    # one that runs on the worker pool.  Each run also gates its outputs
+    # against the pinned seed-42 digests.
     completed = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "interactive",
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
          "--seconds", "1", "--trace", "1"],
         capture_output=True,
         text=True,

@@ -3,9 +3,9 @@
 Every vector draw must equal, bit for bit, what the positioned scalar path
 (``SubstreamSampler.at`` with ``make_batch_sampler``) returns for the same
 (stream, iteration).  A value is a stream of one event a year, so its
-vector draw is a sum of one draw, checked against ``make_sampler``; a
-batch of one has ``make_sampler``'s bits, which lets the positioned path
-draw a one-event row with either.
+vector draw is a sum of one draw, checked against ``sample``; a batch of
+one has the bits of numpy's single draw, written out in this file, so
+the positioned path draws every row, one event or many, as one batch.
 """
 
 import dataclasses
@@ -32,8 +32,8 @@ from airoi.distributions import (
     Uniform,
     fill_streams,
     make_batch_sampler,
-    make_sampler,
     philox_block,
+    sample,
     stream_words,
     vector_sampler,
 )
@@ -169,10 +169,30 @@ def _quantities(rng):
     return quantities
 
 
+def _single_draw(q):
+    """One value of ``q`` by numpy's scalar calls: the reference for a batch of one."""
+    if isinstance(q, Point):
+        return lambda gen: q.value
+    if isinstance(q, Lognormal):
+        if q.sigma == 0:
+            return lambda gen: q.median
+        return lambda gen: q.median * math.exp(q.sigma * float(gen.standard_normal()))
+    if q.hi == q.lo:
+        return lambda gen: q.lo
+    if isinstance(q, Uniform):
+        return lambda gen: float(gen.uniform(q.lo, q.hi))
+    if isinstance(q, Triangular):
+        return lambda gen: float(gen.triangular(q.lo, q.mode, q.hi))
+    width = q.hi - q.lo
+    a = 1.0 + 4.0 * (q.mode - q.lo) / width
+    b = 1.0 + 4.0 * (q.hi - q.mode) / width
+    return lambda gen: q.lo + width * float(gen.beta(a, b))
+
+
 def test_a_batch_of_one_is_a_single_draw():
     # Every family, degenerate members and PERT shapes of 1 included, after
-    # 0-5 earlier draws: a batch of one has the single draw's bits and leaves
-    # the generator where the single draw leaves it.
+    # 0-5 earlier draws: a batch of one has the bits of numpy's single draw
+    # and leaves the generator where the single draw leaves it.
     rng = np.random.default_rng(9)
     quantities = _quantities(rng) + [
         Point(3.5),
@@ -213,7 +233,7 @@ def test_a_batch_of_one_is_a_single_draw():
         batch = make_batch_sampler(quantity)
         words = stream_words(int(rng.integers(2**63)), "one")
         skips = rng.integers(0, 6, size=3000).tolist()
-        single_bits, single_positions = drawn(words, skips, make_sampler(quantity))
+        single_bits, single_positions = drawn(words, skips, _single_draw(quantity))
         batch_bits, batch_positions = drawn(words, skips, lambda gen: batch(gen, 1))
         assert (batch_bits == single_bits).all(), quantity
         assert batch_positions == single_positions, quantity
@@ -233,8 +253,7 @@ def test_lognormal_and_pert_values_match_the_positioned_path():
         outputs = uniforms._outputs(every, np.zeros(rows, dtype=np.int64), vector.width)
         draws, exact = vector.draws(outputs[:, None, :])
         values, exact = vector.total(draws), exact[:, 0]
-        draw = make_sampler(quantity)
-        reference = [draw(sampler.at(words, start + i)) for i in range(rows)]
+        reference = [sample(quantity, sampler.at(words, start + i)) for i in range(rows)]
         assert (_bits(values[exact]) == _bits(reference)[exact]).all()
         # The log test keeps most PERT draws whose squeeze fails on the vector
         # path; a shape that overflows to inf leaves it only the squeeze.
@@ -380,12 +399,11 @@ def test_draws_that_need_a_second_try_take_the_positioned_path(quantity, rows, p
     column = distributions._draw_rounds(
         [distributions._draw_stream(words, PointRate(1.0), quantity, Recording(), 0, rows)]
     )[0]
-    draw = make_sampler(quantity)
     sampler = SubstreamSampler()
     for kind in positioned + vector:
         picked = kinds[kind][:20]
         assert picked, kind
-        reference = [draw(sampler.at(words, i)) for i in picked]
+        reference = [sample(quantity, sampler.at(words, i)) for i in picked]
         assert (_bits(column[picked]) == _bits(reference)).all(), kind
         assert set(picked) <= drawn_at if kind in positioned else not set(picked) & drawn_at, kind
 
