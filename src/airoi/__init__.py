@@ -20,8 +20,8 @@ quantities FrequencyModel Lognormal Pert Point PointRate PoissonRate Triangular 
 quantities UncertainQuantity mean percentile validate
 distributions RngStream sample
 model Portfolio SimulationConfig
-engine IterationOutcome SampleSummary SimulationResult analytic_evaluate run_simulation
-engine standard_error summarize
+assembly IterationOutcome analytic_evaluate
+engine SampleSummary SimulationResult run_simulation standard_error summarize
 risk PENALTY_TIERS PenaltyTier RiskRegister RiskScenario ale_analytic ale_simulate
 risk classify_scenario penalty_magnitude penalty_scenario risk_delta
 valuation DiscountSpec ValuationOutcome ValuationReport build_report evaluate_outcome irr npv

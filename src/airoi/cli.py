@@ -35,7 +35,8 @@ from .quantities import percentile
 from .risk import delta_table
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .engine import IterationOutcome, SampleSummary, SimulationResult
+    from .assembly import IterationOutcome
+    from .engine import SampleSummary, SimulationResult
     from .valuation import ValuationColumns, ValuationReport
 
 
@@ -51,9 +52,13 @@ def _lazy(name: str):
     return sys.modules[full]
 
 
-# The sampling and valuation side, with numpy: only the commands that compute load it.
+# The sampling side, with numpy: only the commands that draw load it.  Valuation
+# loads numpy only where it values arrays; evaluate assembles and values one row
+# without it.  Loading assembly here, before numpy, raised simulate's peak RSS
+# by about 0.15 MB (allocator layout).
 engine = _lazy("engine")
 valuation_mod = _lazy("valuation")
+assembly = _lazy("assembly")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -72,7 +77,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.handler in (cmd_validate, cmd_delta):  # they draw and value nothing
+        if args.handler in (cmd_validate, cmd_delta, cmd_evaluate):  # they draw nothing
             return args.handler(args)
         import numpy as np
 
@@ -249,14 +254,14 @@ def _valuations(result: SimulationResult | IterationOutcome, portfolio: Portfoli
     return valuation_mod.evaluate_outcome(result, discount)
 
 
-# The engine's entry points under names of this module: the handlers call these,
+# The model's entry points under names of this module: the handlers call these,
 # so a tracer that wraps them sees every call.
 def run_simulation(portfolio: Portfolio, sim: SimulationConfig) -> SimulationResult:
     return engine.run_simulation(portfolio, sim)
 
 
 def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
-    return engine.analytic_evaluate(portfolio)
+    return assembly.analytic_evaluate(portfolio)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Every uncertain input owns a named substream, seeded by its stream key,
 and each iteration derives its generators independently, so results are
 identical for any worker count and unchanged for existing items when new
 ones are added.  Results are held as columns ordered by iteration index.
-It owns the stream table, the rows built from the streams' columns, the
-block schedule and early stopping; :mod:`airoi.distributions` draws.
+It owns the block schedule and early stopping; :mod:`airoi.distributions`
+draws, and :mod:`airoi.assembly` holds the stream table and the rows.
 """
 
 from __future__ import annotations
@@ -19,15 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from . import benefits as benefits_mod
-from . import costs as costs_mod
-from . import risk as risk_mod
+from .assembly import (  # noqa: F401  (their former home: re-exported)
+    IterationOutcome, _streams, analytic_evaluate, assemble, benefit_stream_key,
+    capex_stream_key, opex_stream_key, risk_stream_key,
+)
 from .distributions import draw_streams
 from .model import (  # noqa: F401  (their former home: re-exported)
     ENGINE_METRICS, MAX_HORIZON_YEARS, MAX_ITERATIONS, Portfolio, SimulationConfig,
     validate_portfolio, validate_simulation,
 )
-from .quantities import PointRate, frequency_mean, mean, percentile
+from .quantities import percentile
 
 # The per-iteration arrays of a SimulationResult, in IterationOutcome order:
 # the engine metrics, then the per-year rows.
@@ -48,29 +49,6 @@ class SampleSummary:
     p90: float
     min: float
     max: float
-
-
-@dataclass(frozen=True)
-class IterationOutcome:
-    """One iteration's sampled financial state.
-
-    ``cash_flows`` spreads capital costs straight-line (NPV/ROI basis);
-    ``cash_basis_flows`` books capex in the incurred year (payback/IRR
-    basis).  Risk deltas enter both as a constant annual amount.
-    """
-
-    index: int
-    gross_benefits: float
-    risk_reduction: float
-    risk_increase: float
-    tco_total: float
-    risk_delta: float
-    cash_flows: tuple[float, ...]
-    cash_basis_flows: tuple[float, ...]
-    tco_per_year: tuple[float, ...]
-    benefit_values: dict[str, float]
-    cost_values: dict[str, float]
-    scenario_losses: dict[str, tuple[float, float]]
 
 
 @dataclass(eq=False)
@@ -141,54 +119,8 @@ class SimulationResult:
 
 
 # ---------------------------------------------------------------------------
-# Stream table
+# Rows
 # ---------------------------------------------------------------------------
-
-
-def benefit_stream_key(item_id: str) -> str:
-    return f"benefit:{item_id}"
-
-
-def capex_stream_key(item_id: str) -> str:
-    return f"cost:capex:{item_id}"
-
-
-def opex_stream_key(item_id: str) -> str:
-    return f"cost:opex:{item_id}"
-
-
-def risk_stream_key(scenario_id: str, state: str) -> str:
-    return f"risk:{scenario_id}:{state}"
-
-
-# A benefit, capex or opex value is a stream of exactly one event a year
-# (the collective risk model with N = 1); its count consumes no output.
-_ONE_EVENT = PointRate(1.0)
-
-
-def _streams(portfolio: Portfolio) -> dict[str, tuple]:
-    """Every stream that applies, by the key that seeds it: its (frequency, quantity).
-
-    A stream's annual total is the sum of one frequency draw's count of
-    quantity draws.  Benefit, capex and opex values come first, then each
-    scenario's current and AI loss; a risk state that does not apply has
-    no stream.
-    """
-    streams = {
-        benefit_stream_key(item.id): (_ONE_EVENT, item.annual_value) for item in portfolio.benefits
-    }
-    streams.update(
-        (capex_stream_key(item.id), (_ONE_EVENT, item.amount)) for item in portfolio.capex
-    )
-    streams.update(
-        (opex_stream_key(item.id), (_ONE_EVENT, item.annual_amount)) for item in portfolio.opex
-    )
-    for scenario in portfolio.register.scenarios:
-        for state in risk_mod.STATES:
-            freq = scenario.frequency_for(state)
-            if freq is not None:
-                streams[risk_stream_key(scenario.id, state)] = (freq, scenario.sle)
-    return streams
 
 
 def _matrix(row: Sequence, n: int) -> np.ndarray:
@@ -213,68 +145,20 @@ def _assemble_columns(
 ) -> SimulationResult:
     """Rows of ``n`` iterations from each stream's column, keyed by stream key.
 
-    Every column has length ``n``; a risk state without a stream loses
-    nothing.  Benefit and cost rows come from the module pipeline
-    (``benefit_schedule``, ``tco_pair``) applied to the value columns;
-    totals are ``math.fsum`` per row.
+    Every column has length ``n``; this is :func:`airoi.assembly.assemble`
+    over columns, whose per-year rows stack into iterations x years arrays
+    and whose totals are ``math.fsum`` per row.
     """
-    benefit_values = {item.id: columns[benefit_stream_key(item.id)] for item in portfolio.benefits}
-    cost_values = {item.id: columns[capex_stream_key(item.id)] for item in portfolio.capex}
-    cost_values.update((item.id, columns[opex_stream_key(item.id)]) for item in portfolio.opex)
-    scenario_losses = {}
-    for scenario in portfolio.register.scenarios:
-        keys = [risk_stream_key(scenario.id, state) for state in risk_mod.STATES]
-        scenario_losses[scenario.id] = tuple(
-            columns[key] if key in columns else np.zeros(n) for key in keys
-        )
-    horizon = portfolio.horizon_years
-    benefit_row = _matrix(
-        benefits_mod.benefit_schedule(portfolio.benefits, horizon, benefit_values), n
-    )
-    schedule, cash_schedule = costs_mod.tco_pair(
-        portfolio.capex, portfolio.opex, portfolio.cost_rules, horizon, amounts=cost_values
-    )
-    tco_per_year = _matrix(schedule.per_year, n)
-    cash_per_year = _matrix(cash_schedule.per_year, n)
-
-    # A scenario whose loss falls adds to the risk reduction, one whose
-    # loss grows to the risk increase.
-    reduction_annual = np.zeros(n)
-    increase_annual = np.zeros(n)
-    for loss_current, loss_ai in scenario_losses.values():
-        delta = loss_current - loss_ai
-        reduces = delta >= 0
-        reduction_annual += np.where(reduces, delta, 0.0)
-        increase_annual -= np.where(reduces, 0.0, delta)
-    risk_delta = reduction_annual - increase_annual
-
     return SimulationResult(
-        gross_benefits=fsum_rows(benefit_row),
-        risk_reduction=reduction_annual * horizon,
-        risk_increase=increase_annual * horizon,
-        tco_total=fsum_rows(tco_per_year),
-        risk_delta=risk_delta,
-        cash_flows=benefit_row + risk_delta[:, None] - tco_per_year,
-        cash_basis_flows=benefit_row + risk_delta[:, None] - cash_per_year,
-        tco_per_year=tco_per_year,
-        benefit_values=benefit_values,
-        cost_values=cost_values,
-        scenario_losses=scenario_losses,
+        **assemble(
+            portfolio,
+            columns,
+            zeros=partial(np.zeros, n),
+            where=np.where,
+            stack=lambda row: _matrix(row, n),
+            total=fsum_rows,
+        )
     )
-
-
-def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
-    """Deterministic evaluation with every sample replaced by its mean.
-
-    Each stream reads ``mean(quantity) * frequency_mean(freq)``: a value's
-    mean, and a risk state's ``ale_analytic``.
-    """
-
-    columns = {
-        key: np.full(1, mean(quantity) * frequency_mean(freq))
-        for key, (freq, quantity) in _streams(portfolio).items()
-    }
-    return _assemble_columns(portfolio, 1, columns).outcomes[0]
 
 
 # ---------------------------------------------------------------------------

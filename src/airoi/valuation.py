@@ -10,6 +10,9 @@ years array and then returns one value per row.  The one-row body is the
 reference: the array code repeats its float operations in the same order
 (sequential products and sums, year by year or by ``accumulate``, per-row
 ``math.fsum``), so both give the same bits.
+
+Importing this module loads no numpy: the one-row code runs on floats,
+and each function that works on arrays imports numpy where it runs.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .engine import SampleSummary, SimulationResult, fsum_rows, summarize
+from .assembly import IterationOutcome
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .engine import IterationOutcome
+    import numpy as np
+
+    from .engine import SampleSummary, SimulationResult
 
 # Metrics whose defined values feed each summary; IRR, payback, and the ROI
 # ratio can be undefined for an iteration and are excluded with a count.
@@ -89,6 +92,8 @@ class ValuationColumns:
 
     @classmethod
     def from_outcomes(cls, outcomes: Sequence[ValuationOutcome]) -> "ValuationColumns":
+        import numpy as np
+
         def column(name: str) -> np.ndarray:
             values = (getattr(o, name) for o in outcomes)
             return np.array([math.nan if v is None else v for v in values], dtype=float)
@@ -131,7 +136,7 @@ def risk_adjusted_net(
     split into its nonnegative sides before entering here.
     """
     for name, side in (("risk_reduction", risk_reduction), ("risk_increase", risk_increase)):
-        if isinstance(side, np.ndarray):  # its lowest negative entry, else 0.0
+        if getattr(side, "ndim", 0):  # a column: its lowest negative entry, else 0.0
             side = side[side < 0].min(initial=0.0)
         if side < 0:
             raise ValueError(f"{name} must be >= 0, got {side}")
@@ -139,11 +144,19 @@ def risk_adjusted_net(
 
 
 def _is_block(cashflows) -> bool:
-    return isinstance(cashflows, np.ndarray) and cashflows.ndim == 2
+    """Whether ``cashflows`` is an iterations x years array, by its shape alone."""
+    return getattr(cashflows, "ndim", None) == 2
+
+
+def _one_row(cashflows) -> Sequence[float]:
+    """A row of floats: a 1-D array as its list, for the list's bits and errors."""
+    return cashflows.tolist() if hasattr(cashflows, "tolist") else cashflows
 
 
 def _quiet() -> np.errstate:
     """An inf or nan reached by overflow is a value, as on one row: no warning."""
+    import numpy as np
+
     return np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
@@ -152,8 +165,7 @@ def npv(cashflows: Sequence[float] | np.ndarray, rate: float) -> float | np.ndar
     if _is_block(cashflows):
         with _quiet():
             return _npv_rows(cashflows, rate)
-    if isinstance(cashflows, np.ndarray):  # one row: the list's bits and errors
-        cashflows = cashflows.tolist()
+    cashflows = _one_row(cashflows)
     if not cashflows:
         raise ValueError("cashflows must be nonempty")
     if rate <= -1.0:
@@ -168,6 +180,10 @@ def npv(cashflows: Sequence[float] | np.ndarray, rate: float) -> float | np.ndar
 
 
 def _npv_rows(flows: np.ndarray, rate: float) -> np.ndarray:
+    import numpy as np
+
+    from .engine import fsum_rows
+
     if flows.shape[1] == 0:
         raise ValueError("cashflows must be nonempty")
     if rate <= -1.0:
@@ -198,8 +214,7 @@ def irr(cashflows: Sequence[float] | np.ndarray) -> float | None | np.ndarray:
     if _is_block(cashflows):
         with _quiet():
             return _irr_rows(cashflows)
-    if isinstance(cashflows, np.ndarray):  # one row: the list's bits and errors
-        cashflows = cashflows.tolist()
+    cashflows = _one_row(cashflows)
     if not cashflows:
         raise ValueError("cashflows must be nonempty")
     changes = cashflow_sign_changes(cashflows)
@@ -270,6 +285,8 @@ def _bisect(f, lo: float, hi: float, f_lo: float, tolerance: float) -> float:
 
 def _npv_at(years: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """The one-row ``irr``'s f on each column of years x rows flows, at its own rate."""
+    import numpy as np
+
     factors = 1.0 + rates
     discount = np.ones(rates.shape[0])
     total = np.zeros(rates.shape[0])
@@ -295,6 +312,10 @@ def _irr_rows(flows: np.ndarray) -> np.ndarray:
     dropping out at its first sign change of f, so scratch memory stays
     one array of the rows still scanning.
     """
+    import numpy as np
+
+    from .engine import fsum_rows
+
     if flows.shape[1] == 0:
         raise ValueError("cashflows must be nonempty")
     roots = np.full(flows.shape[0], math.nan)
@@ -344,6 +365,8 @@ def _bisect_rows(
     years: np.ndarray, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, tolerance: np.ndarray
 ) -> np.ndarray:
     """``_bisect`` on every column of years x rows flows at once; each stops at its own step."""
+    import numpy as np
+
     roots = np.empty(lo.size)
     at = np.arange(lo.size)
     for _ in range(_BISECT_STEPS):
@@ -372,6 +395,8 @@ def cashflow_sign_changes(cashflows: Sequence[float] | np.ndarray) -> int | np.n
     On an iterations x years array, the count of each row.
     """
     if _is_block(cashflows):
+        import numpy as np
+
         signs = np.where(cashflows > 0, 1, np.where(cashflows != 0, -1, 0)).astype(np.int8)
         # Each year carries the sign of the row's last nonzero flow so far.
         years = np.arange(cashflows.shape[1])
@@ -392,8 +417,7 @@ def payback_period(cashflows: Sequence[float] | np.ndarray) -> float | None | np
     if _is_block(cashflows):
         with _quiet():
             return _payback_rows(cashflows)
-    if isinstance(cashflows, np.ndarray):  # one row: the list's bits and errors
-        cashflows = cashflows.tolist()
+    cashflows = _one_row(cashflows)
     if not cashflows:
         raise ValueError("cashflows must be nonempty")
     cumulative = 0.0
@@ -408,6 +432,8 @@ def payback_period(cashflows: Sequence[float] | np.ndarray) -> float | None | np
 
 
 def _payback_rows(flows: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     if flows.shape[1] == 0:
         raise ValueError("cashflows must be nonempty")
     cumulative = np.add.accumulate(flows, axis=1)
@@ -433,7 +459,7 @@ def evaluate_outcome(
     outlays.  On a SimulationResult, the metrics of every iteration as
     columns.
     """
-    if isinstance(outcome, SimulationResult):
+    if not isinstance(outcome, IterationOutcome):
         return _evaluate_columns(outcome, discount)
     net = risk_adjusted_net(
         outcome.gross_benefits,
@@ -461,6 +487,8 @@ def _evaluate_columns(result: SimulationResult, discount: DiscountSpec) -> Valua
     ``_SLICE_CELLS`` iteration-years: scratch memory stays bounded on a
     long horizon and the columns keep the bits of one call over all rows.
     """
+    import numpy as np
+
     rows = max(1, _SLICE_CELLS // result.tco_per_year.shape[1])
     parts = [
         _evaluate_slice(result, slice(start, start + rows), discount)
@@ -478,6 +506,8 @@ def _evaluate_columns(result: SimulationResult, discount: DiscountSpec) -> Valua
 def _evaluate_slice(
     result: SimulationResult, rows: slice, discount: DiscountSpec
 ) -> ValuationColumns:
+    import numpy as np
+
     rate = discount.annual_rate
     cash_basis = result.cash_basis_flows[rows]
     with _quiet():
@@ -517,6 +547,8 @@ def build_report(outcomes: "ValuationColumns | Sequence[ValuationOutcome]") -> V
     Takes a run's columns, as ``evaluate_outcome`` returns them for a
     SimulationResult, or one ValuationOutcome per iteration.
     """
+    from .engine import summarize
+
     if not len(outcomes):
         raise ValueError("cannot build a report from zero outcomes")
     if not isinstance(outcomes, ValuationColumns):

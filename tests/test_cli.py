@@ -920,9 +920,10 @@ def test_track_loss_without_total_loss_is_a_diagnostic(tmp_path, capsys):
 
 def test_commands_that_draw_nothing_start_without_numpy():
     # Each command in a fresh interpreter: validate and delta read and check
-    # the config only, so neither numpy nor the worker pool's module loads;
-    # evaluate and a one-worker simulate compute, so they load numpy, but
-    # start no pool, so its modules stay unloaded.
+    # the config only, and evaluate values the analytic means as floats, so
+    # neither numpy nor the worker pool's module loads; a one-worker
+    # simulate draws, so it loads numpy, but starts no pool, so its modules
+    # stay unloaded.
     code = (
         "import contextlib, io, json, sys\n"
         "from airoi import cli\n"
@@ -937,7 +938,8 @@ def test_commands_that_draw_nothing_start_without_numpy():
     for command, loads in (
         (["validate"], [False, False]),
         (["delta"], [False, False]),
-        (["evaluate"], [True, False]),
+        (["evaluate"], [False, False]),
+        (["evaluate", "--costs-csv", os.devnull], [False, False]),
         (["simulate", "--iterations", "1000", "--workers", "1"], [True, False]),
     ):
         done = subprocess.run(

@@ -6,10 +6,15 @@ quantities and the model still hold them under the same names.
 """
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import airoi
+from conftest import REFERENCE_CONFIG, REPO_ROOT
 
 # Every name the package exported when it imported its modules eagerly,
 # by the module that exported it then.
@@ -42,7 +47,19 @@ MOVED = {
         "Portfolio SimulationConfig ENGINE_METRICS MAX_ITERATIONS MAX_HORIZON_YEARS "
         "validate_portfolio validate_simulation",
     ),
+    "assembly": (
+        "engine",
+        "IterationOutcome analytic_evaluate benefit_stream_key capex_stream_key "
+        "opex_stream_key risk_stream_key _streams",
+    ),
 }
+
+# The names that value one row, which a fresh interpreter resolves and runs
+# without loading numpy.
+ONE_ROW = (
+    "analytic_evaluate IterationOutcome DiscountSpec ValuationOutcome npv irr payback_period "
+    "risk_adjusted_net evaluate_outcome"
+)
 
 
 def module(name: str):
@@ -73,3 +90,38 @@ def test_the_package_lists_its_names_and_rejects_others():
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         airoi.not_a_name
     assert airoi.__version__ == "0.1.0"
+
+
+def test_the_one_row_names_resolve_and_run_without_numpy():
+    code = (
+        "import json, sys\n"
+        "import airoi\n"
+        "from airoi.config import load_config\n"
+        "names = {name: getattr(airoi, name) for name in sys.argv[2].split()}\n"
+        "portfolio = load_config(sys.argv[1])[0].portfolio\n"
+        "outcome = airoi.analytic_evaluate(portfolio)\n"
+        "valued = airoi.evaluate_outcome(outcome, airoi.DiscountSpec(portfolio.discount_rate))\n"
+        "flows = outcome.cash_basis_flows\n"
+        "assert isinstance(outcome, airoi.IterationOutcome)\n"
+        "assert isinstance(valued, airoi.ValuationOutcome)\n"
+        "assert valued.irr == airoi.irr(flows)\n"
+        "assert valued.payback_years == airoi.payback_period(flows)\n"
+        "assert valued.npv == airoi.npv(outcome.cash_flows, portfolio.discount_rate)\n"
+        "assert valued.net_risk_adjusted_benefit == airoi.risk_adjusted_net(\n"
+        "    outcome.gross_benefits, outcome.risk_reduction, outcome.risk_increase,\n"
+        "    outcome.tco_total)\n"
+        "print(json.dumps('numpy' in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(REFERENCE_CONFIG), ONE_ROW],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) is False
