@@ -31,7 +31,7 @@ from .config import (
 )
 from .costs import amortize_capex, schedule_csv_rows, tco as costs_tco
 from .model import ENGINE_METRICS, Portfolio, SimulationConfig, validate_simulation
-from .quantities import percentile
+from .quantities import sorted_percentile
 from .risk import delta_table
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -485,7 +485,7 @@ def _track_projections(portfolio: Portfolio, result: SimulationResult) -> dict[s
         spreads = {}
         for item_id, values in draws.items():
             ordered = sorted(values.tolist())
-            band = (percentile(ordered, 0.10), percentile(ordered, 0.90))
+            band = (sorted_percentile(ordered, 0.10), sorted_percentile(ordered, 0.90))
             spreads[item_id] = np.array([means[item_id], *band])
         return spreads
 

@@ -14,7 +14,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .model import (  # noqa: F401  (their former home: re-exported)
     ENGINE_METRICS, MAX_HORIZON_YEARS, MAX_ITERATIONS, Portfolio, SimulationConfig,
     validate_portfolio, validate_simulation,
 )
-from .quantities import percentile
+from .quantities import sorted_percentile
 
 # The per-iteration arrays of a SimulationResult, in IterationOutcome order:
 # the engine metrics, then the per-year rows.
@@ -134,10 +134,40 @@ def _matrix(row: Sequence, n: int) -> np.ndarray:
 def fsum_rows(rows: np.ndarray) -> np.ndarray:
     """``math.fsum`` of each row, so a row's total has the one-row bits.
 
-    A row whose partial sums overflow raises ``OverflowError``
-    (``intermediate overflow in fsum``), first row first, as on one row.
+    ``_SUM_SLICE`` rows at a time, a TwoSum cascade over the years makes
+    each row's exact sum ``total`` + E, E the sum of its error terms e_k.
+    A second cascade adds the e_k into ``errors`` with error terms f_k, so
+    E = ``errors`` + sum f_k exactly.  ``missed`` adds the |f_k| in order,
+    within gamma_years < 1/2 of their sum, so 2 ``missed`` bounds
+    |E - ``errors``|, and is 0 where ``errors`` is E.  :func:`_certified`
+    keeps each row's result where it must equal ``fsum``'s.  Every other
+    row, and every row of a slice of fewer than ``_VECTOR_MIN`` rows, takes
+    ``math.fsum``, in row order: one whose partial sums overflow
+    raises ``OverflowError`` (``intermediate overflow in fsum``), first row
+    first, as on one row.
     """
-    return np.fromiter(map(math.fsum, rows.tolist()), dtype=float, count=rows.shape[0])
+    totals = np.empty(rows.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, rows.shape[0], _SUM_SLICE):
+            block = rows[lo : lo + _SUM_SLICE]
+            uncertain = np.arange(block.shape[0])
+            if block.shape[0] >= _VECTOR_MIN:
+                columns = iter(np.ascontiguousarray(block.T))
+                total = next(columns, np.zeros(block.shape[0]))
+                errors = np.zeros(block.shape[0])
+                missed = np.zeros(block.shape[0])
+                magnitudes = np.abs(total)
+                for column in columns:
+                    total, error = _two_sum(total, column)
+                    errors, error = _two_sum(errors, error)
+                    missed += np.abs(error)
+                    magnitudes += np.abs(column)
+                sums, certain = _certified(total, errors, 2 * missed, magnitudes)
+                totals[lo : lo + block.shape[0]] = sums
+                uncertain = np.flatnonzero(~certain)
+            rest = block[uncertain].tolist()
+            totals[lo + uncertain] = np.fromiter(map(math.fsum, rest), float, len(rest))
+    return totals
 
 
 def _assemble_columns(
@@ -337,8 +367,8 @@ class _StopRule:
         self._n += nets.size
         if self._exact_only or not (np.abs(nets) <= self._LIMIT).all():
             self._exact_only = True
-            every = np.concatenate(self._nets).tolist()
-            net_mean = math.fsum(every) / self._n
+            every = np.concatenate(self._nets)
+            net_mean = _fsum(every) / self._n
             return self._n >= 2 and net_mean != 0 and self._exact_ratio(every, net_mean)
         self._partials = _exact_partials(self._partials + nets.tolist())
         step_mean = nets.sum() / nets.size
@@ -371,9 +401,9 @@ class _StopRule:
             return True
         if math.sqrt(max(q - 2 * q_error, 0.0)) / scale * (1 - slack) > self.target:
             return False
-        return self._exact_ratio(np.concatenate(self._nets).tolist(), net_mean)
+        return self._exact_ratio(np.concatenate(self._nets), net_mean)
 
-    def _exact_ratio(self, every: list[float], net_mean: float) -> bool:
+    def _exact_ratio(self, every: np.ndarray, net_mean: float) -> bool:
         return standard_error(every) / abs(net_mean) <= self.target
 
 
@@ -383,31 +413,267 @@ class _StopRule:
 
 
 def standard_error(samples: Sequence[float]) -> float:
-    """Sample standard deviation over sqrt(n); needs at least two samples."""
-    n = len(samples)
+    """Sample standard deviation over sqrt(n); needs at least two samples.
+
+    The bits of ``math.fsum(samples) / n`` as the center and of
+    ``math.fsum((x - center) ** 2 for x in samples) / (n - 1)`` as the
+    variance, over Python floats, from certified sums (:func:`_fsum`) and
+    squares (:func:`_squares`).
+    """
+    values = np.asarray(samples, dtype=float)
+    n = len(values)
     if n < 2:
         raise ValueError(f"standard error needs n >= 2, got {n}")
-    center = math.fsum(samples) / n
-    variance = math.fsum((x - center) ** 2 for x in samples) / (n - 1)
+    return _standard_error(values, _fsum(values) / n)
+
+
+def _standard_error(values: np.ndarray, center: float) -> float:
+    n = len(values)
+    if (
+        n >= _VECTOR_MIN
+        and -_StopRule._LIMIT <= float(values.min()) - center
+        and float(values.max()) - center <= _StopRule._LIMIT
+    ):
+        squares = np.concatenate(
+            [_squares(values[lo : lo + _SUM_SLICE] - center) for lo in range(0, n, _SUM_SLICE)]
+        )
+        variance = _fsum(squares) / (n - 1)
+    else:  # few values, a nan, or a square or fsum may raise OverflowError: in sample order
+        variance = math.fsum((x - center) ** 2 for x in values.tolist()) / (n - 1)
     return math.sqrt(variance) / math.sqrt(n)
 
 
 def summarize(values: np.ndarray | Sequence[float]) -> SampleSummary:
-    """Percentile summary of one metric's samples."""
-    # A stable sort keeps ties, -0.0 and 0.0 among them, in input order as
-    # sorted() does.  Python floats keep standard_error's squares CPython's:
-    # numpy's array x ** 2 can differ in the last bit.
-    ordered = np.sort(np.asarray(values, dtype=float), kind="stable").tolist()
-    n = len(ordered)
+    """Percentile summary of one metric's samples, over one sort of them.
+
+    The sort never reorders values that compare equal: a stable sort keeps
+    ties, -0.0 and 0.0 among them, in input order as ``sorted()`` does.
+    Without a zero or a nan, no two distinct bit patterns compare equal, so
+    any sort gives that order, and numpy's faster default sort runs on a
+    column of ``_VECTOR_MIN`` values or more (on an AVX-512 host it
+    returned -0.0 where the input held 0.0).
+    """
+    column = np.asarray(values, dtype=float)
+    n = len(column)
     if n == 0:
         raise ValueError("cannot summarize zero samples")
+    fast = n >= _VECTOR_MIN and (np.abs(column) > 0).all()
+    ordered = np.sort(column, kind=None if fast else "stable")
+    mean = _fsum(ordered) / n
     return SampleSummary(
         n=n,
-        mean=math.fsum(ordered) / n,
-        standard_error=standard_error(ordered) if n >= 2 else 0.0,
-        p10=percentile(ordered, 0.10),
-        p50=percentile(ordered, 0.50),
-        p90=percentile(ordered, 0.90),
-        min=ordered[0],
-        max=ordered[-1],
+        mean=mean,
+        standard_error=_standard_error(ordered, mean) if n >= 2 else 0.0,
+        p10=sorted_percentile(ordered, 0.10),
+        p50=sorted_percentile(ordered, 0.50),
+        p90=sorted_percentile(ordered, 0.90),
+        min=float(ordered[0]),
+        max=float(ordered[-1]),
     )
+
+
+# ---------------------------------------------------------------------------
+# Certified sums and squares
+# ---------------------------------------------------------------------------
+
+_U = 2.0**-53  # the unit roundoff
+# Rows or values per pass of a certified sum or square: bounds the scratch arrays.
+_SUM_SLICE = 1 << 13
+# Sums over fewer values, or rows, than this take the scalar rule, and shorter
+# columns the stable sort.  By numpy's cost per call the certified paths win
+# from about 500 values or 200 rows: summaries of 300 and 1000 values took 122
+# and 155 us certified, 57 and 207 us by fsum.  But a process's first
+# certified square runs the pow self-check, and its first default sort loads
+# numpy's SIMD sort: with them and the row cascade, a 1000-iteration simulate
+# peaked 0.48 MB higher, and with the row cascade alone 0.06 MB.
+_VECTOR_MIN = 2048
+# With the magnitudes of a sum's terms adding up to at most this, no partial
+# sum overflows, in fsum or here: each is at most that sum, times 1 + 2**-40.
+_SUM_LIMIT = 2.0**1000
+
+
+def _two_sum(a, b):
+    """``(s, e)``: ``s = fl(a + b)`` and ``s + e = a + b`` exactly (Knuth's TwoSum).
+
+    Exact for any finite ``a`` and ``b`` whose sum does not overflow,
+    subnormals included (Ogita, Rump & Oishi 2005, Algorithm 3.1).
+    """
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _lower_gap(x):
+    """``x - pred(x)`` for doubles ``x > 0``: the smaller of their two neighbour gaps.
+
+    The gap toward zero, which is half the other one at a power of two.
+    A finite positive double's predecessor is the one whose bits are one
+    less; at 0 the result is a nan.
+    """
+    return x - (np.asarray(x).view(np.int64) - 1).view(np.float64)
+
+
+def _certified(total, errors, bound, magnitudes):
+    """``(r, certain)``: ``fl(total + errors)``, and where it is ``math.fsum``'s bits.
+
+    The caller has summed doubles x_i exactly into ``total`` plus error
+    terms, T = total + E, and ``errors`` is E up to at most ``bound``;
+    ``magnitudes`` is at least sum |x_i| (1 - 2**-40).  Then:
+
+    - A last TwoSum gives r + d = total + errors exactly, so
+      |T - r| <= |d| + bound.
+    - With g the smaller of r's neighbour gaps, |T - r| < g / 2 makes r the
+      double nearest T, and T no tie, so r is T correctly rounded, which
+      is what ``math.fsum`` returns.  The test ``2 (|d| + bound) < g`` is
+      strict, and its doubling exact; a rounded sum that falls below
+      g / 2 (a double, or g is below any positive bound) came from one
+      below it.  With the larger gap, a T just past the midpoint below a
+      power of two would pass.
+    - With ``bound`` 0, T = total + errors exactly, and r is T correctly
+      rounded, ties to even included, whatever d is.
+    - ``magnitudes <= _SUM_LIMIT`` keeps every partial sum, ``fsum``'s
+      included, finite, so ``fsum`` would not raise either.  A nan or an
+      infinity anywhere fails it or the test.  A zero r is left to
+      ``fsum``, for the sign of zero.
+    """
+    r, d = _two_sum(total, errors)
+    gap = _lower_gap(np.abs(r))
+    return r, ((2 * (np.abs(d) + bound) < gap) | (bound == 0)) & (r != 0) & (
+        magnitudes <= _SUM_LIMIT
+    )
+
+
+def _tree(values: np.ndarray) -> tuple[float, float]:
+    """``(total, errors)``: a pairwise TwoSum tree over ``values``.
+
+    The values past the largest power of two w <= n are first added to the
+    first ones, and then each level adds the first half of what is left to
+    the second, so a value lies below at most log2(w) + 1 additions.
+    ``total`` plus the n - 1 additions' error terms is the exact sum, and
+    ``errors`` is their sum, rounded.
+    """
+    n = len(values)
+    if n == 0:
+        return 0.0, 0.0
+    width = 1 << (n.bit_length() - 1)
+    level, errors = values[:width], 0.0
+    if n > width:
+        level = level.copy()
+        level[: n - width], error = _two_sum(values[: n - width], values[width:])
+        errors += float(error.sum())
+    while width > 1:
+        width //= 2
+        level, error = _two_sum(level[:width], level[width:])
+        errors += float(error.sum())
+    return float(level[0]), errors
+
+
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum(values.tolist())``, from certified tree sums.
+
+    Each slice of ``_SUM_SLICE`` values is summed by :func:`_tree`, and
+    then their totals are, so the n values become T = total + E, E = sum
+    e_k over the additions' error terms, and ``errors`` is that sum,
+    rounded.  With X = sum |x_i| and u = 2**-53:
+
+    - A value lies below at most D = bit_length(n) + 2 additions, and
+      |e_k| <= u |a + b|, where |a + b| is at most the magnitudes below
+      that addition times 1 + gamma_n.  So sum |e_k| <= u D X (1 + gamma_n).
+    - A sum of k doubles in any order errs by at most gamma_(k-1) times the
+      sum of their magnitudes (Higham 2002, ch. 4), so
+      |errors - E| <= gamma_n u D X (1 + gamma_n), and the computed
+      ``magnitudes`` is at least X (1 - gamma_n).
+    - The bound doubles that product, which covers both factors and its
+      own roundings while n u < 1/8; ``n * 2**-1070`` covers a product
+      that underflows, as in ``_StopRule``'s ``q_error``.
+
+    Where :func:`_certified` cannot vouch for the result, or there are
+    fewer than ``_VECTOR_MIN`` values, ``math.fsum`` runs.
+    """
+    n = len(values)
+    if n >= _VECTOR_MIN:
+        with np.errstate(over="ignore", invalid="ignore"):
+            slices = [values[lo : lo + _SUM_SLICE] for lo in range(0, n, _SUM_SLICE)]
+            parts = [_tree(part) for part in slices]
+            if len(parts) > 1:  # then the slices' totals, as one more tree
+                parts.append(_tree(np.array([total for total, _ in parts])))
+            total, errors = parts[-1][0], sum(error for _, error in parts)
+            magnitudes = sum(float(np.abs(part).sum()) for part in slices)
+            bound = 2 * _gamma(n) * _U * (n.bit_length() + 2) * magnitudes + n * 2.0**-1070
+            result, certain = _certified(total, errors, bound, magnitudes)
+        if certain:
+            return float(result)
+    return math.fsum(values.tolist())
+
+
+# Dekker's splitting constant 2**27 + 1: x = hi + lo, each of at most 26 bits.
+_SPLIT = 134217729.0
+_FRACTION = (1 << 52) - 1  # the fraction bits of a double
+# x * x is kept where the exact square lies within this many gaps of it:
+# more than 0.05 gap from a midpoint, beyond libm pow's error bound.
+_SQUARE_MARGIN = 0.45
+
+
+def _squares(deviations: np.ndarray) -> np.ndarray:
+    """``x ** 2`` of each deviation, as CPython's float power gives it.
+
+    CPython's ``x ** 2`` is libm ``pow(x, 2.0)``, which is not always
+    correctly rounded; numpy's ``x * x`` is.  The product is kept where
+    :func:`_square_is_pow` shows ``pow`` must return it.  The rest, about
+    one in ten, take ``x ** 2``; all of them do if the self-check
+    :func:`_pow_agrees` fails.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = deviations * deviations
+        if _pow_agrees():
+            redo = np.flatnonzero(~_square_is_pow(deviations, squares, _SQUARE_MARGIN))
+        else:
+            redo = np.arange(len(squares))
+    if len(redo):
+        squares[redo] = [x**2 for x in deviations[redo].tolist()]
+    return squares
+
+
+def _square_is_pow(x: np.ndarray, squares: np.ndarray, margin: float) -> np.ndarray:
+    """Where ``squares = fl(x * x)`` is libm's ``pow(x, 2.0)``, for ``margin`` <= 0.45.
+
+    Let t = x^2 exactly and p = fl(x * x).  Veltkamp's split x = hi + lo,
+    26 bits each, gives t - p exactly as ((hi hi - p) + 2 hi lo) + lo lo
+    (Dekker 1971) while no product overflows or underflows: for p in
+    [2**-960, 2**960].  Where p is not a power of two, its two neighbour
+    gaps are one gap g, and t lies in p's binade, whose ulp is g.  If
+    |t - p| <= margin g, every other double lies at least 0.55 g from t, so
+    a ``pow`` within 0.54 ulp returns p: glibc's ``e_pow.c`` states a
+    relative error below 0.52 ULP and about 0.54 ULP worst case, the
+    figure relied on here.  A power of two p is left out, because its lower
+    gap is half its upper one; so are zeros, nans and p out of range.
+    """
+    c = _SPLIT * x
+    hi = c - (c - x)
+    lo = x - hi
+    errors = ((hi * hi - squares) + 2 * hi * lo) + lo * lo
+    bits = squares.view(np.int64)
+    return (
+        (np.abs(errors) <= margin * _lower_gap(squares))
+        & (bits & _FRACTION != 0)
+        & (squares >= 2.0**-960)
+        & (squares <= 2.0**960)
+    )
+
+
+@lru_cache(maxsize=1)
+def _pow_agrees() -> bool:
+    """True if libm ``pow`` gives the squares :func:`_square_is_pow` keeps near its margin.
+
+    The sample is 5,000 values, a Weyl sequence over [1, 2) spread over
+    binades 2**-30 to 2**30.  Of the squares kept, those whose exact square
+    lies more than ``_SQUARE_MARGIN - 0.1`` gaps from the product, about a
+    thousand, must equal ``x ** 2``.  It runs once per process, on the
+    first certified square.
+    """
+    k = np.arange(5_000)
+    x = np.ldexp(1.0 + k * 0.6180339887498949 % 1.0, k % 61 - 30)
+    squares = x * x
+    kept = _square_is_pow(x, squares, _SQUARE_MARGIN)
+    near = kept & ~_square_is_pow(x, squares, _SQUARE_MARGIN - 0.1)
+    return squares[near].tolist() == [value**2 for value in x[near].tolist()]

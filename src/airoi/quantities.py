@@ -229,15 +229,20 @@ def percentile(samples, p: float) -> float:
     ``p=0`` returns the minimum, ``p=1`` the maximum.  Input need not be
     pre-sorted.
     """
+    return sorted_percentile(sorted(samples), p)
+
+
+def sorted_percentile(ordered, p: float) -> float:
+    """:func:`percentile` of samples already in ascending order, a list or an array."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"percentile fraction must lie in [0, 1], got {p}")
-    data = sorted(samples)
-    n = len(data)
+    n = len(ordered)
     if n == 0:
         raise ValueError("cannot take a percentile of an empty sample set")
     rank = p * (n - 1)
     lower = int(math.floor(rank))
     frac = rank - lower
     if frac == 0.0 or lower + 1 >= n:
-        return float(data[lower])
-    return float(data[lower] + frac * (data[lower + 1] - data[lower]))
+        return float(ordered[lower])
+    low, high = float(ordered[lower]), float(ordered[lower + 1])
+    return low + frac * (high - low)

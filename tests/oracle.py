@@ -269,3 +269,20 @@ def is_irr(flows, root: float, within: float = 1e-9) -> bool:
     ``within`` of ``root``."""
     values = [npv(flows, rate) for rate in (root - within, root, root + within)]
     return 0.0 in values or (values[0] < 0) != (values[2] < 0)
+
+
+# -- summary statistics over Python floats -------------------------------------
+
+
+def row_sums(rows) -> list[float]:
+    """Each row's total: math.fsum, the correctly rounded sum, row by row."""
+    return [math.fsum(row) for row in rows]
+
+
+def standard_error(samples) -> float:
+    """The sample standard deviation over sqrt(n): the mean by math.fsum, then
+    the squared deviations by CPython's ** and their sum by math.fsum."""
+    n = len(samples)
+    center = math.fsum(samples) / n
+    variance = math.fsum((x - center) ** 2 for x in samples) / (n - 1)
+    return math.sqrt(variance) / math.sqrt(n)

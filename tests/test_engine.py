@@ -8,6 +8,7 @@ from concurrent.futures import Executor, Future
 import numpy as np
 import pytest
 
+import oracle
 from airoi import distributions, engine
 from airoi.benefits import BenefitItem, benefit_schedule
 from airoi.costs import CapexItem, CostRules, OpexItem, tco_pair
@@ -193,7 +194,8 @@ def test_real_worker_pool_matches_the_serial_run(monkeypatch):
         serial.gross_benefits + serial.risk_reduction - serial.risk_increase - serial.tco_total
     ).tolist()
     ratios = [
-        standard_error(nets[:n]) / abs(math.fsum(nets[:n]) / n) for n in range(1_000, 5_001, 1_000)
+        oracle.standard_error(nets[:n]) / abs(math.fsum(nets[:n]) / n)
+        for n in range(1_000, 5_001, 1_000)
     ]
     assert min(ratios[:4]) > ratios[4]
     for target, rows in ((None, iterations), (ratios[4], 5_000)):
@@ -529,7 +531,7 @@ def test_early_stop_decides_at_the_stopping_ratio(monkeypatch):
     full = run_simulation(portfolio, SimulationConfig(iterations=iterations, master_seed=8))
     nets = (full.gross_benefits + full.risk_reduction - full.risk_increase - full.tco_total).tolist()
     ratios = [
-        standard_error(nets[:n]) / abs(math.fsum(nets[:n]) / n)
+        oracle.standard_error(nets[:n]) / abs(math.fsum(nets[:n]) / n)
         for n in range(1_000, iterations + 1, 1_000)
     ]
     ratio = ratios[2]
@@ -924,13 +926,13 @@ def test_standard_error_of_seeded_normal_draws():
 
 
 def _summary_of_sorted(values: list[float]) -> SampleSummary:
-    """The summary over ``sorted(values)``, field by field."""
+    """The summary over ``sorted(values)``, field by field, from the oracle's sums."""
     ordered = sorted(values)
     n = len(ordered)
     return SampleSummary(
         n=n,
         mean=math.fsum(ordered) / n,
-        standard_error=standard_error(ordered) if n >= 2 else 0.0,
+        standard_error=oracle.standard_error(ordered) if n >= 2 else 0.0,
         p10=percentile(ordered, 0.10),
         p50=percentile(ordered, 0.50),
         p90=percentile(ordered, 0.90),
@@ -946,7 +948,7 @@ def test_summarize_consistency_with_raw_recomputation():
     for summary in (summarize(values), summarize(column)):
         assert summary.n == 999
         assert summary.mean == math.fsum(values) / 999
-        assert summary.standard_error == standard_error(values)
+        assert summary.standard_error == oracle.standard_error(values)
         assert summary.p10 == percentile(values, 0.10)
         assert summary.p50 == percentile(values, 0.50)
         assert summary.p90 == percentile(values, 0.90)
@@ -970,4 +972,4 @@ def test_summarize_consistency_with_raw_recomputation():
     for _ in range(20_000):
         scale = 10.0 ** int(rng.integers(0, 9))
         column = rng.normal(0.0, scale, size=int(rng.integers(2, 40)))
-        assert summarize(column).standard_error == standard_error(column.tolist())
+        assert summarize(column).standard_error == oracle.standard_error(column.tolist())
