@@ -484,7 +484,7 @@ def _track_projections(portfolio: Portfolio, result: SimulationResult) -> dict[s
     def spread(means: dict, draws: dict) -> dict[str, np.ndarray]:
         spreads = {}
         for item_id, values in draws.items():
-            ordered = sorted(values.tolist())
+            ordered = engine.sort_column(values)
             band = (sorted_percentile(ordered, 0.10), sorted_percentile(ordered, 0.90))
             spreads[item_id] = np.array([means[item_id], *band])
         return spreads
@@ -562,8 +562,7 @@ def cmd_plotdata(args) -> int:
     if not defined.size:
         print(f"error: metric {metric!r} is undefined for every iteration", file=sys.stderr)
         return EXIT_VALIDATION
-    # Stable, so the extremes keep the sign of a zero as sorted() gives it.
-    ordered = np.sort(defined, kind="stable")
+    ordered = engine.sort_column(defined)
     low, high = ordered[[0, -1]].tolist()
     width = (high - low) / _PLOT_BINS
     # The bins need finite values, a finite span and, unless every value is

@@ -501,7 +501,7 @@ def parse_config(
 
     settings = _read(top["simulation"], "simulation", collector, _SIMULATION)
     if settings["worker_count"] == "auto":
-        settings["worker_count"] = None  # the host CPU count
+        settings["worker_count"] = None  # the CPUs this process may run on
     simulation = SimulationConfig(**settings)
     for message in validate_simulation(simulation):
         collector.error("simulation", message)

@@ -35,15 +35,6 @@ _MAX_PERT_EVENTS = 8
 # ---------------------------------------------------------------------------
 
 
-def _philox_for(words: tuple[int, int], iteration_index: int) -> np.random.Philox:
-    # Iteration occupies counter word 2, leaving 2^128 draws per iteration.
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[2] = iteration_index & _MASK64
-    counter[3] = (iteration_index >> 64) & _MASK64
-    key = np.array(words, dtype=np.uint64)
-    return np.random.Philox(counter=counter, key=key)
-
-
 class RngStream:
     """Deterministic random substream for one (seed, key, iteration) triple.
 
@@ -64,9 +55,7 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         if self._generator is None:
             words = stream_words(self.master_seed, self.stream_key)
-            self._generator = np.random.Generator(
-                _philox_for(words, self.iteration_index)
-            )
+            self._generator = SubstreamSampler().at(words, self.iteration_index)
         return self._generator
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -77,10 +66,11 @@ class RngStream:
 
 
 class SubstreamSampler:
-    """Reusable generator for tight per-iteration loops.
+    """One generator, positioned at any (stream, iteration) pair.
 
-    Produces draw sequences bit-identical to :class:`RngStream` while
-    avoiding a bit-generator allocation per (stream, iteration) pair.  Not
+    Iteration ``i`` is the counter ``(0, 0, i mod 2^64, i >> 64)`` under the
+    stream's key words.  A loop reuses one instance, without a bit-generator
+    allocation per pair; an :class:`RngStream` positions its own.  Not
     thread-safe: each worker owns one instance.
     """
 
@@ -656,6 +646,15 @@ def sample_event_count(
     return make_count_sampler(freq)(_resolve_generator(rng))
 
 
+def positioned_total(count_draw, batch, gen: np.random.Generator) -> float:
+    """A year's total: its event count by ``count_draw``, then that many draws by ``batch``.
+
+    A year without events totals 0.0, whatever ``batch`` of zero draws gives.
+    """
+    count = count_draw(gen)
+    return batch(gen, count) if count else 0.0
+
+
 def count_draws(freq: FrequencyModel, uniforms: StreamUniforms):
     """Event counts for every row of ``uniforms``, as :func:`make_count_sampler` draws them.
 
@@ -882,9 +881,7 @@ def _draw_stream(words, freq, quantity, sampler: SubstreamSampler, start: int, s
     batch = make_batch_sampler(quantity)
     at = sampler.at
     for row in scalar_rows:
-        gen = at(words, start + row)
-        count = count_draw(gen)
-        totals[row] = batch(gen, count) if count else 0.0
+        totals[row] = positioned_total(count_draw, batch, at(words, start + row))
     return totals
 
 

@@ -207,18 +207,20 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
 
     Outcome ``i`` depends only on the master seed, the item stream keys,
     and ``i`` itself; worker count changes scheduling, never results, so
-    no more workers run than the host has CPUs.  Every run walks one list
-    of blocks, serially or on a pool: each is whole 1000-iteration steps
-    and at most one kernel pass, and writes its rows into the run's arrays
-    as it arrives.  With ``target_relative_se`` set, the run stops after
-    the first step whose net-benefit standard error is small enough
-    relative to its mean, which keeps early stopping deterministic.
+    no more workers run than the CPUs this process may run on.  Every run
+    walks one list of blocks, serially or on a pool: each is whole
+    1000-iteration steps and at most one kernel pass, and writes its rows
+    into the run's arrays as it arrives.  With ``target_relative_se`` set,
+    the run stops after the first step whose net-benefit standard error is
+    small enough relative to its mean, which keeps early stopping
+    deterministic.
     """
     errors, _ = validate_portfolio(portfolio)
     errors += validate_simulation(cfg)
     if errors:
         raise ValueError("invalid simulation input: " + "; ".join(errors))
-    cpus = os.cpu_count() or 1
+    # The CPUs this process may run on: its affinity, where the platform has one.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cfg.worker_count or cpus, cpus)
     steps = -(-cfg.iterations // _EARLY_STOP_BLOCK)
     # Blocks are as long as the fewest passes, a multiple of the worker count, need;
@@ -443,8 +445,8 @@ def _standard_error(values: np.ndarray, center: float) -> float:
     return math.sqrt(variance) / math.sqrt(n)
 
 
-def summarize(values: np.ndarray | Sequence[float]) -> SampleSummary:
-    """Percentile summary of one metric's samples, over one sort of them.
+def sort_column(values: np.ndarray | Sequence[float]) -> np.ndarray:
+    """``values`` as floats in ascending order, nan last.
 
     The sort never reorders values that compare equal: a stable sort keeps
     ties, -0.0 and 0.0 among them, in input order as ``sorted()`` does.
@@ -454,11 +456,16 @@ def summarize(values: np.ndarray | Sequence[float]) -> SampleSummary:
     returned -0.0 where the input held 0.0).
     """
     column = np.asarray(values, dtype=float)
-    n = len(column)
+    fast = column.size >= _VECTOR_MIN and (np.abs(column) > 0).all()
+    return np.sort(column, kind=None if fast else "stable")
+
+
+def summarize(values: np.ndarray | Sequence[float]) -> SampleSummary:
+    """Percentile summary of one metric's samples, over one sort of them."""
+    ordered = sort_column(values)
+    n = len(ordered)
     if n == 0:
         raise ValueError("cannot summarize zero samples")
-    fast = n >= _VECTOR_MIN and (np.abs(column) > 0).all()
-    ordered = np.sort(column, kind=None if fast else "stable")
     mean = _fsum(ordered) / n
     return SampleSummary(
         n=n,

@@ -37,7 +37,7 @@ MAX_HORIZON_YEARS = 200
 class SimulationConfig:
     iterations: int = 10_000
     master_seed: int = 0
-    worker_count: int | None = 1  # None selects the host CPU count
+    worker_count: int | None = 1  # None: the CPUs this process may run on
     target_relative_se: float | None = None
 
 

@@ -135,15 +135,16 @@ def ale_simulate(
     scenario: RiskScenario, state: str, rng: "RngStream | np.random.Generator"
 ) -> float:
     """One iteration's annual loss: a compound sum of sampled event severities."""
-    from .distributions import _resolve_generator, make_batch_sampler, sample_event_count
+    from .distributions import (
+        _resolve_generator, make_batch_sampler, make_count_sampler, positioned_total,
+    )
 
     freq = scenario.frequency_for(state)
     if freq is None:
         return 0.0
-    count = sample_event_count(freq, rng)
-    if count == 0:
-        return 0.0
-    return make_batch_sampler(scenario.sle)(_resolve_generator(rng), count)
+    return positioned_total(
+        make_count_sampler(freq), make_batch_sampler(scenario.sle), _resolve_generator(rng)
+    )
 
 
 def classify_scenario(scenario: RiskScenario) -> str:

@@ -18,7 +18,7 @@ and each function that works on arrays imports numpy where it runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Sequence
 
 from .assembly import IterationOutcome
@@ -461,22 +461,46 @@ def evaluate_outcome(
     """
     if not isinstance(outcome, IterationOutcome):
         return _evaluate_columns(outcome, discount)
+    *values, _ = _valuation(outcome, discount.annual_rate)
+    return ValuationOutcome(*values)
+
+
+def _valuation(outcome, rate: float, rows: slice | None = None) -> tuple:
+    """The valuation of an outcome: ``ValuationOutcome``'s fields in order, then ROI's mask.
+
+    Reads an ``IterationOutcome``'s floats and per-year tuples, or ``rows``
+    of a ``SimulationResult``'s columns and iterations x years arrays; every
+    step takes either, and calls each metric through this module's names.
+    """
+
+    def read(name: str):
+        field = getattr(outcome, name)
+        return field if rows is None else field[rows]
+
     net = risk_adjusted_net(
-        outcome.gross_benefits,
-        outcome.risk_reduction,
-        outcome.risk_increase,
-        outcome.tco_total,
+        read("gross_benefits"), read("risk_reduction"), read("risk_increase"), read("tco_total")
     )
-    discounted_tco = npv(outcome.tco_per_year, discount.annual_rate)
-    roi_ratio = net / discounted_tco if discounted_tco != 0 else None
-    return ValuationOutcome(
-        net_risk_adjusted_benefit=net,
-        roi_ratio=roi_ratio,
-        npv=npv(outcome.cash_flows, discount.annual_rate),
-        irr=irr(outcome.cash_basis_flows),
-        payback_years=payback_period(outcome.cash_basis_flows),
-        risk_delta=outcome.risk_delta,
-        irr_multiple_roots_possible=cashflow_sign_changes(outcome.cash_basis_flows) > 1,
+    discounted_tco = npv(read("tco_per_year"), rate)
+    # ROI is undefined where the discounted TCO is 0: None on a row, nan in a
+    # column; a nan that a defined entry reaches by overflow stays a value.
+    roi_defined = discounted_tco != 0
+    if rows is None:
+        roi_ratio = net / discounted_tco if roi_defined else None
+    else:
+        import numpy as np
+
+        undefined = np.full(net.shape, math.nan)
+        roi_ratio = np.divide(net, discounted_tco, out=undefined, where=roi_defined)
+    cash_basis = read("cash_basis_flows")
+    return (
+        net,
+        roi_ratio,
+        npv(read("cash_flows"), rate),
+        irr(cash_basis),
+        payback_period(cash_basis),
+        read("risk_delta"),
+        cashflow_sign_changes(cash_basis) > 1,
+        roi_defined,
     )
 
 
@@ -490,53 +514,20 @@ def _evaluate_columns(result: SimulationResult, discount: DiscountSpec) -> Valua
     import numpy as np
 
     rows = max(1, _SLICE_CELLS // result.tco_per_year.shape[1])
-    parts = [
-        _evaluate_slice(result, slice(start, start + rows), discount)
-        for start in range(0, len(result), rows)
-    ]
-    arrays = (*REPORT_METRICS, "irr_multiple_roots_possible")
-    return ValuationColumns(
-        **{name: np.concatenate([getattr(p, name) for p in parts]) for name in arrays},
-        defined={
-            name: np.concatenate([p.defined[name] for p in parts]) for name in OPTIONAL_METRICS
-        },
-    )
-
-
-def _evaluate_slice(
-    result: SimulationResult, rows: slice, discount: DiscountSpec
-) -> ValuationColumns:
-    import numpy as np
-
-    rate = discount.annual_rate
-    cash_basis = result.cash_basis_flows[rows]
     with _quiet():
-        net = risk_adjusted_net(
-            result.gross_benefits[rows],
-            result.risk_reduction[rows],
-            result.risk_increase[rows],
-            result.tco_total[rows],
-        )
-        discounted_tco = npv(result.tco_per_year[rows], rate)
-        roi_defined = discounted_tco != 0
-        roi_ratio = np.full(net.shape[0], math.nan)
-        roi_ratio[roi_defined] = net[roi_defined] / discounted_tco[roi_defined]
-    net_present_value = npv(result.cash_flows[rows], rate)
-    # Neither is nan where it is defined.
-    irr_values = irr(cash_basis)
-    paybacks = payback_period(cash_basis)
+        parts = [
+            _valuation(result, discount.annual_rate, slice(start, start + rows))
+            for start in range(0, len(result), rows)
+        ]
+    *arrays, roi_defined = map(np.concatenate, zip(*parts))
+    columns = dict(zip((field.name for field in fields(ValuationOutcome)), arrays))
     return ValuationColumns(
-        net_risk_adjusted_benefit=net,
-        roi_ratio=roi_ratio,
-        npv=net_present_value,
-        irr=irr_values,
-        payback_years=paybacks,
-        risk_delta=result.risk_delta[rows],
-        irr_multiple_roots_possible=cashflow_sign_changes(cash_basis) > 1,
+        **columns,
         defined={
             "roi_ratio": roi_defined,
-            "irr": ~np.isnan(irr_values),
-            "payback_years": ~np.isnan(paybacks),
+            # Neither is nan where it is defined.
+            "irr": ~np.isnan(columns["irr"]),
+            "payback_years": ~np.isnan(columns["payback_years"]),
         },
     )
 

@@ -117,7 +117,7 @@ def test_same_seed_repeats_bit_identically():
 
 def test_worker_count_does_not_change_results(monkeypatch):
     # A stand-in executor runs each submitted block inline, so no process
-    # starts; the host is taken to have three CPUs.  A run asks for 100000
+    # starts; the process is taken to run on three CPUs.  A run asks for 100000
     # workers, uses three and builds one executor, also when early stopping
     # at an unreachable target, which walks the same blocks as a plain run.
     built, chunks = [], []
@@ -133,7 +133,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     portfolio = small_portfolio()
     discount = DiscountSpec(portfolio.discount_rate)
     # 240 iterations are one block, which runs in process and builds no
@@ -184,9 +184,9 @@ def test_early_stopping_walks_the_plain_blocks(monkeypatch):
 def test_real_worker_pool_matches_the_serial_run(monkeypatch):
     # Two worker processes over four 3000-iteration blocks, once plainly and
     # once stopping at a target met partway through the second block; no
-    # worker outlives the run.  The host is taken to have two CPUs, so the
-    # pool starts on any.
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    # worker outlives the run.  The process is taken to run on two CPUs, so
+    # the pool starts on any host.
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1})
     portfolio = small_portfolio()
     iterations = 12_000
     serial = run_simulation(portfolio, SimulationConfig(iterations, 3))
@@ -493,6 +493,28 @@ class _InlineExecutor(Executor):
         return future
 
 
+def test_worker_cap_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    # Pinned to one of the host's two CPUs, an automatic worker count is one:
+    # the run builds no executor and never loads the pool.
+    built = []
+
+    class RecordingExecutor(_InlineExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    portfolio = small_portfolio()
+    for workers in (None, 2):
+        run_simulation(portfolio, SimulationConfig(8_000, 5, worker_count=workers))
+    assert built == []
+    # Without an affinity call, the CPU count caps the workers.
+    monkeypatch.delattr(engine.os, "sched_getaffinity")
+    run_simulation(portfolio, SimulationConfig(8_000, 5, worker_count=None))
+    assert built == [2]
+
+
 def test_pooled_early_stop_draws_at_most_one_block_per_worker_past_it(monkeypatch):
     # 40000 iterations over three workers are ten 4000-iteration blocks, and
     # a target of 1e9 is met at the first step.  The stand-in executor draws
@@ -507,7 +529,7 @@ def test_pooled_early_stop_draws_at_most_one_block_per_worker_past_it(monkeypatc
             return super().submit(fn, *args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     portfolio = small_portfolio()
     serial = run_simulation(portfolio, SimulationConfig(40_000, 6, target_relative_se=1e9))
     pooled = run_simulation(
@@ -525,7 +547,7 @@ def test_early_stop_decides_at_the_stopping_ratio(monkeypatch):
     # same block serially and over three workers; only the targets within
     # the rule's error bound run the exact expression.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     portfolio = small_portfolio()
     iterations = 4_000
     full = run_simulation(portfolio, SimulationConfig(iterations=iterations, master_seed=8))

@@ -10,11 +10,15 @@ import math
 import numpy as np
 
 from airoi import valuation
+from airoi.costs import CapexItem
 from airoi.distributions import RngStream
-from airoi.engine import SimulationConfig, run_simulation
+from airoi.engine import _ROW_FIELDS, SimulationConfig, SimulationResult, run_simulation
+from airoi.model import Portfolio
+from airoi.quantities import Point
 from airoi.valuation import (
     REPORT_METRICS,
     DiscountSpec,
+    ValuationColumns,
     build_report,
     cashflow_sign_changes,
     evaluate_outcome,
@@ -22,7 +26,7 @@ from airoi.valuation import (
     npv,
     payback_period,
 )
-from test_engine import _random_portfolio
+from test_engine import _random_portfolio, small_portfolio
 
 
 def _result(call):
@@ -185,6 +189,38 @@ def test_evaluate_outcome_in_slices_keeps_the_bits(
     assert _column_bytes(evaluate_outcome(reference_simulation, discount)) == whole
     monkeypatch.setattr(valuation, "_SLICE_CELLS", 1)
     assert _column_bytes(evaluate_outcome(small, small_discount)) == small_whole
+
+
+def test_roi_rule_keeps_the_one_row_bits(monkeypatch):
+    # A run without costs has a discounted TCO of 0: ROI is undefined, None
+    # on a row and nan with a False mask in a column.  Two 1e308 capex items
+    # of one year's life overflow the TCO: ROI is defined, and nan.  Their
+    # rows, between ordinary ones, keep the one-row bits, masks included,
+    # in one slice and at one row per slice.
+    horizon = 3
+    overflow = Portfolio(
+        "overflow", "EUR", horizon, 0.05,
+        capex=tuple(CapexItem(item_id, Point(1e308), 1) for item_id in "ab"),
+    )
+    portfolios = (small_portfolio(horizon=horizon), Portfolio("free", "EUR", horizon, 0.05),
+                  overflow)
+    config = SimulationConfig(iterations=5, master_seed=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing cost rows
+        runs = [run_simulation(portfolio, config) for portfolio in portfolios]
+    interleaved = np.arange(15).reshape(3, 5).T.ravel()
+    result = SimulationResult(
+        **{name: np.concatenate([getattr(run, name) for run in runs])[interleaved]
+           for name in _ROW_FIELDS},
+        benefit_values={}, cost_values={}, scenario_losses={},
+    )
+    discount = DiscountSpec(0.05)
+    rows = [evaluate_outcome(outcome, discount) for outcome in result.outcomes]
+    assert [row.roi_ratio is None for row in rows] == [False, True, False] * 5
+    assert all(math.isnan(row.roi_ratio) for row in rows[2::3])
+    expected = _column_bytes(ValuationColumns.from_outcomes(rows))
+    for cells in (valuation._SLICE_CELLS, 1):
+        monkeypatch.setattr(valuation, "_SLICE_CELLS", cells)
+        assert _column_bytes(evaluate_outcome(result, discount)) == expected
 
 
 def test_one_row_array_is_valued_as_its_list(reference_simulation):
