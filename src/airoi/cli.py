@@ -17,7 +17,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, fields, replace
-from functools import cache
+from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .benefits import benefit_schedule
@@ -254,10 +254,15 @@ def _valuations(result: SimulationResult | IterationOutcome, portfolio: Portfoli
     return valuation_mod.evaluate_outcome(result, discount)
 
 
+def _valued_run(portfolio: Portfolio, sim: SimulationConfig) -> ValuationColumns:
+    """The run's valuation columns: each block is valued as it arrives, then dropped."""
+    return run_simulation(portfolio, sim, reduce=partial(_valuations, portfolio=portfolio))
+
+
 # The model's entry points under names of this module: the handlers call these,
 # so a tracer that wraps them sees every call.
-def run_simulation(portfolio: Portfolio, sim: SimulationConfig) -> SimulationResult:
-    return engine.run_simulation(portfolio, sim)
+def run_simulation(portfolio: Portfolio, sim: SimulationConfig, reduce=None):
+    return engine.run_simulation(portfolio, sim, reduce)
 
 
 def analytic_evaluate(portfolio: Portfolio) -> IterationOutcome:
@@ -316,13 +321,16 @@ def cmd_simulate(args) -> int:
     portfolio = config.portfolio
 
     started = time.perf_counter()
-    result = run_simulation(portfolio, sim)
-    valuations = _valuations(result, portfolio)
+    if args.dump_iterations:  # the dump writes each row's engine metrics: keep the rows
+        result = run_simulation(portfolio, sim)
+        valuations = _valuations(result, portfolio)
+    else:
+        valuations = _valued_run(portfolio, sim)
     report = valuation_mod.build_report(valuations)
     elapsed = time.perf_counter() - started
 
     # Hashing rejects a value JSON cannot hold, so it runs before any file is written.
-    body = _simulation_body(config, sim, report, executed_iterations=len(result))
+    body = _simulation_body(config, sim, report, executed_iterations=len(valuations))
     envelope = {
         "body": body,
         "body_sha256": _body_hash(body),
@@ -557,8 +565,7 @@ def cmd_plotdata(args) -> int:
     sim = _resolve_simulation(config, args)
     if sim is None:
         return EXIT_VALIDATION
-    result = run_simulation(config.portfolio, sim)
-    defined = _valuations(result, config.portfolio).values(metric)
+    defined = _valued_run(config.portfolio, sim).values(metric)
     if not defined.size:
         print(f"error: metric {metric!r} is undefined for every iteration", file=sys.stderr)
         return EXIT_VALIDATION

@@ -177,18 +177,20 @@ def _assemble_columns(
 
     Every column has length ``n``; this is :func:`airoi.assembly.assemble`
     over columns, whose per-year rows stack into iterations x years arrays
-    and whose totals are ``math.fsum`` per row.
+    and whose totals are ``math.fsum`` per row.  An inf or nan that a cost
+    reaches by overflow is a value, as on one row: no warning.
     """
-    return SimulationResult(
-        **assemble(
-            portfolio,
-            columns,
-            zeros=partial(np.zeros, n),
-            where=np.where,
-            stack=lambda row: _matrix(row, n),
-            total=fsum_rows,
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return SimulationResult(
+            **assemble(
+                portfolio,
+                columns,
+                zeros=partial(np.zeros, n),
+                where=np.where,
+                stack=lambda row: _matrix(row, n),
+                total=fsum_rows,
+            )
         )
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +204,7 @@ def _run_block(portfolio: Portfolio, master_seed: int, start: int, stop: int) ->
     return _assemble_columns(portfolio, stop - start, columns)
 
 
-def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationResult:
+def run_simulation(portfolio: Portfolio, cfg: SimulationConfig, reduce=None):
     """Run the configured number of iterations.
 
     Outcome ``i`` depends only on the master seed, the item stream keys,
@@ -214,6 +216,13 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
     the run stops after the first step whose net-benefit standard error is
     small enough relative to its mean, which keeps early stopping
     deterministic.
+
+    ``reduce``, if given, takes each block's rows (a SimulationResult) in
+    this process and in iteration order, after the stop rule has read
+    them, and returns what the run keeps in their place: columns with one
+    entry per row and ``len``, ``_arrays`` and ``_map`` as a
+    SimulationResult has.  The block is then dropped, and the run returns
+    those columns for all its rows instead of the rows.
     """
     errors, _ = validate_portfolio(portfolio)
     errors += validate_simulation(cfg)
@@ -231,9 +240,8 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
     stop_rule = None if cfg.target_relative_se is None else _StopRule(cfg.target_relative_se, steps)
     workers = min(workers, len(bounds) - 1)
     result = None
-    held = []  # a pooled run's blocks, until the pool is shut down
     start = 0
-    rows = cfg.iterations
+    kept = None
     pool = None
     if workers > 1:  # only a pooled run loads the process-pool modules
         from concurrent.futures import ProcessPoolExecutor
@@ -241,10 +249,14 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
     try:
         walk = map if pool is None else partial(_bounded_map, pool, workers)
         for block in walk(run_block, bounds, bounds[1:]):
-            end = start + len(block)
+            if stop_rule is not None and (kept := stop_rule.stop(block)) is not None:
+                block = block._map(lambda rows: rows[:kept])
+            part = block if reduce is None else reduce(block)
+            del block  # a serial run's block is not held while the next is drawn
+            end = start + len(part)
             if result is None and (end == cfg.iterations or stop_rule is not None):
-                result = block  # the whole run, or the first block of an early-stopped one
-            else:  # each block writes its rows in place
+                result = part  # the whole run, or the first block of an early-stopped one
+            else:  # each block writes its part in place
                 if result is None or end > len(result):
                     # A plain run sizes its arrays once.  An early-stopped one doubles
                     # them, so a stop in the first steps of a long run holds about
@@ -252,24 +264,18 @@ def run_simulation(portfolio: Portfolio, cfg: SimulationConfig) -> SimulationRes
                     size = cfg.iterations
                     if stop_rule is not None:
                         size = min(size, max(2 * len(result), end))
-                    result = _grown(block if result is None else result, start, size)
-                for whole, part in zip(result._arrays(), block._arrays()):
-                    whole[start:end] = part
-            if stop_rule is not None and (kept := stop_rule.stop(block)) is not None:
-                rows = start + kept
-                break
+                    result = _grown(part if result is None else result, start, size)
+                for whole, rows in zip(result._arrays(), part._arrays()):
+                    whole[start:end] = rows
+            del part
             start = end
-            if pool is not None:
-                # Freed while the pool's result thread runs, pooled blocks stay in
-                # that thread's malloc arena: a two-block run on two workers then
-                # peaked at 59.5 instead of 55.6 MB in about half the runs.
-                held.append(block)
-            del block  # a serial run's block is not held while the next is drawn
+            if kept is not None:
+                break
     finally:
         if pool is not None:  # blocks queued past a stop or a failure never run
             pool.shutdown(cancel_futures=True)
     # An exact-size copy: a view would keep a stopped run's spare rows alive.
-    return result if rows == len(result) else result._map(lambda a: a[:rows].copy())
+    return result if kept is None else result._map(lambda a: a[:start].copy())
 
 
 def _grown(result: SimulationResult, rows: int, size: int) -> SimulationResult:

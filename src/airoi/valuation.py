@@ -41,10 +41,14 @@ REPORT_METRICS = (
 
 # Metrics that can be undefined for an iteration (None on one row).
 OPTIONAL_METRICS = ("roi_ratio", "irr", "payback_years")
+# The arrays of a ValuationColumns beside its masks, in ValuationOutcome order.
+_COLUMN_FIELDS = (*REPORT_METRICS, "irr_multiple_roots_possible")
 
 _IRR_BRACKET = (-0.999, 10.0)
 _IRR_GRID_POINTS = 512
 _BISECT_STEPS = 200
+# Rows x grid rates valued per pass of irr's grid scan.
+_SCAN_CELLS = 1 << 15
 # Iteration-years valued at once by evaluate_outcome on a SimulationResult.
 _SLICE_CELLS = 1 << 18
 
@@ -111,6 +115,17 @@ class ValuationColumns:
 
     def __len__(self) -> int:
         return self.npv.shape[0]
+
+    def _arrays(self) -> list[np.ndarray]:
+        """Every array, in one order for every block of a run."""
+        return [*(getattr(self, name) for name in _COLUMN_FIELDS), *self.defined.values()]
+
+    def _map(self, fn) -> "ValuationColumns":
+        """The columns whose every array is ``fn`` of this one's."""
+        return ValuationColumns(
+            **{name: fn(getattr(self, name)) for name in _COLUMN_FIELDS},
+            defined={name: fn(mask) for name, mask in self.defined.items()},
+        )
 
     def values(self, name: str) -> np.ndarray:
         """The defined values of metric ``name``, in iteration order."""
@@ -297,20 +312,30 @@ def _npv_at(years: np.ndarray, rates: np.ndarray) -> np.ndarray:
     # Once a discount underflows to 0 it stays 0, so the last one used tells.
     fallback = np.flatnonzero(np.isnan(total) | (discount == 0))
     if fallback.size:
-        factors = factors[fallback]
-        scaled = np.zeros(fallback.size)
-        for cf in years[:, fallback]:
-            scaled = scaled * factors + cf
-        total[fallback] = np.where(scaled != 0, np.copysign(np.inf, scaled), 0.0)
+        total[fallback] = _beyond_range(years[:, fallback], factors[fallback])
     return total
+
+
+def _beyond_range(years: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """f where the NPV lies beyond the float range, per column of years x rows flows.
+
+    An infinity with the sign of the Horner value NPV * factor**T, which is
+    finite, or 0.0 where that is 0, as the one-row ``irr``'s f falls back.
+    """
+    import numpy as np
+
+    scaled = np.zeros(factors.size)
+    for cf in years:
+        scaled = scaled * factors + cf
+    return np.where(scaled != 0, np.copysign(np.inf, scaled), 0.0)
 
 
 def _irr_rows(flows: np.ndarray) -> np.ndarray:
     """``irr`` of every row: one lockstep bisection over all bracketed rows.
 
-    Rows with several sign changes first scan the grid together, each row
-    dropping out at its first sign change of f, so scratch memory stays
-    one array of the rows still scanning.
+    Rows with several sign changes first scan the grid together
+    (:func:`_scan_grid`), each row dropping out where the one-row scan
+    stops.
     """
     import numpy as np
 
@@ -337,28 +362,121 @@ def _irr_rows(flows: np.ndarray) -> np.ndarray:
     brackets.append((single, np.full(single.size, lo), np.full(single.size, hi), f_lo[single]))
 
     scanning = np.flatnonzero(changes > 1)
-    f_prev = f_lo[scanning]
-    step = (hi - lo) / _IRR_GRID_POINTS
-    x_prev = lo
-    for i in range(1, _IRR_GRID_POINTS + 1):
-        if not scanning.size:
-            break
-        x = lo + i * step
-        fx = _npv_at(years[:, scanning], np.full(scanning.size, x))
-        zero = f_prev == 0.0
-        roots[rows[scanning[zero]]] = x_prev
-        crossed = ~zero & (f_prev * fx < 0)
-        count = int(crossed.sum())
-        brackets.append(
-            (scanning[crossed], np.full(count, x_prev), np.full(count, x), f_prev[crossed])
-        )
-        going = ~(zero | crossed)
-        scanning, f_prev, x_prev = scanning[going], fx[going], x
-    roots[rows[scanning[f_prev == 0.0]]] = x_prev
+    if scanning.size:
+        rates, first, zero, f_first = _scan_grid(years[:, scanning], f_lo[scanning])
+        roots[rows[scanning[zero]]] = rates[first[zero]]
+        crossed = ~zero & (first >= 0)
+        at = first[crossed]
+        brackets.append((scanning[crossed], rates[at], rates[at + 1], f_first[crossed]))
 
     at, lows, highs, f_lows = (np.concatenate(parts) for parts in zip(*brackets))
     roots[rows[at]] = _bisect_rows(years[:, at], lows, highs, f_lows, tolerance[at])
     return roots
+
+
+def _scan_grid(years: np.ndarray, f_lo: np.ndarray) -> tuple:
+    """The one-row ``irr``'s grid scan on every column of years x rows flows.
+
+    Returns ``(rates, first, zero, f_first)``: the grid rates, and per
+    column the index into them where its scan stops, -1 for none; whether
+    f is 0 there (the root is that rate) rather than changing sign before
+    the next one (the bracket); and f there.  ``f_lo`` is f at ``rates[0]``.
+
+    Every row reads the same grid, so the discounts (1 + x)**t, by the
+    one-row loop's repeated products, are one years x rates table.  Each
+    pass takes a window of ``max(1, _SCAN_CELLS // S)`` rates for the S rows
+    still scanning, so a few rows cross the grid in a few passes and many
+    rows cost one rate a pass, as one step of the one-row scan.  Within a
+    window each row stops where the one-row rule first would: at a rate
+    where f is 0, else before a sign change of f.
+    """
+    import numpy as np
+
+    points = _IRR_GRID_POINTS
+    rates, factors, discounts = _grid_table(years.shape[0])
+    # Once a discount underflows to 0 it stays 0, so the last year's tells.
+    underflows = discounts[-1] == 0
+
+    count = years.shape[1]
+    first = np.full(count, -1)
+    zero = np.zeros(count, dtype=bool)
+    f_first = np.empty(count)
+    at = np.arange(count)
+    f_prev = f_lo
+    done = 0  # f_prev is f at rates[done]
+    while at.size and done < points:
+        width = min(max(1, _SCAN_CELLS // at.size), points - done)
+        window = slice(done + 1, done + 1 + width)
+        f = np.empty((width + 1, at.size))  # f at rates[done : done + width + 1]
+        f[0] = f_prev
+        _npv_grid(years, discounts[:, window], factors[window], underflows[window], f[1:])
+        # The one-row rule at each rate: f is 0 there, or changes sign before the next.
+        hits = f[:-1] * f[1:] < 0
+        hits |= f[:-1] == 0.0
+        stops = hits.any(axis=0)
+        if stops.any():
+            going, stops = np.flatnonzero(~stops), np.flatnonzero(stops)
+            step = hits.take(stops, axis=1).argmax(axis=0)
+            stopped = at[stops]
+            first[stopped] = done + step
+            f_first[stopped] = f[step, stops]
+            zero[stopped] = f_first[stopped] == 0.0
+            years, at, f_prev = years.take(going, axis=1), at[going], f[-1, going]
+        else:
+            f_prev = f[-1]
+        done += width
+    last = at[f_prev == 0.0]  # f is 0 at the last rate
+    first[last], zero[last], f_first[last] = points, True, 0.0
+    return rates, first, zero, f_first
+
+
+def _grid_table(horizon: int) -> tuple:
+    """``(rates, factors, discounts)``: the scan's grid rates, 1 + each, and years x rates.
+
+    A rate is ``lo + i * step`` and year t's discount (1 + rate)**t the
+    product of t factors, in order, as the one-row scan computes them.
+    """
+    import numpy as np
+
+    lo, hi = _IRR_BRACKET
+    rates = lo + np.arange(_IRR_GRID_POINTS + 1) * ((hi - lo) / _IRR_GRID_POINTS)
+    factors = 1.0 + rates
+    discounts = np.empty((horizon, rates.size))
+    discounts[0] = 1.0
+    discounts[1:] = factors
+    return rates, factors, np.multiply.accumulate(discounts)
+
+
+def _npv_grid(
+    years: np.ndarray,
+    discounts: np.ndarray,
+    factors: np.ndarray,
+    underflows: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """``_npv_at`` of every column of years x rows flows at each of a window's rates.
+
+    ``discounts`` is years x rates, ``factors`` 1 + each rate, and
+    ``underflows`` where a rate's last discount is 0; ``out`` is rates x rows.
+    """
+    import numpy as np
+
+    # One rate's discounts divide as floats: numpy's broadcasting loop costs
+    # more per call, which a few rows over a long horizon pay each year.
+    if len(out) == 1:
+        total, divisors = out[0], discounts[1:, 0].tolist()
+    else:
+        total, divisors = out, discounts[1:, :, None]
+    np.add(0.0, years[0], out=total)  # the first discount is 1
+    terms = np.empty_like(total)
+    for cf, discount in zip(years[1:], divisors):
+        np.divide(cf, discount, out=terms)
+        total += terms
+    fallback = np.isnan(out)
+    fallback[underflows] = True
+    if fallback.any():
+        at, rows = np.nonzero(fallback)
+        out[at, rows] = _beyond_range(years[:, rows], factors[at])
 
 
 def _bisect_rows(

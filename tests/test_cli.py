@@ -317,7 +317,7 @@ def test_simulate_that_runs_out_of_memory_is_one_error_line(tmp_path, capsys, mo
     metrics, out_path = tmp_path / "m.csv", tmp_path / "o.json"
     for message in ("", "Unable to allocate 149. GiB for an array with shape (100000000, 200)"):
 
-        def exhausted(portfolio, sim):
+        def exhausted(portfolio, sim, reduce=None):
             raise MemoryError(message)
 
         monkeypatch.setattr(engine, "run_simulation", exhausted)

@@ -405,6 +405,23 @@ def test_run_simulation_validates_first():
         run_simulation(small_portfolio(), SimulationConfig(iterations=0, master_seed=1))
 
 
+def test_a_cost_past_the_float_range_is_a_value_and_no_warning():
+    # Two 1e308 capex items of one year's life overflow the TCO, as on one
+    # row, where the assembly's floats give inf and nan without a warning.
+    # The suite turns warnings into errors, so a leaked numpy RuntimeWarning
+    # fails the run here.
+    portfolio = Portfolio(
+        "overflow", "EUR", 3, 0.05,
+        capex=tuple(CapexItem(item_id, Point(1e308), 1) for item_id in "ab"),
+    )
+    result = run_simulation(portfolio, SimulationConfig(iterations=5, master_seed=2))
+    one_row = analytic_evaluate(portfolio)
+    for name in ("tco_total", "tco_per_year", "cash_flows", "cash_basis_flows"):
+        rows = getattr(result, name)
+        assert rows.tobytes() == np.array([getattr(one_row, name)] * 5).tobytes(), name
+    assert math.isinf(one_row.tco_total)
+
+
 def test_validate_portfolio_bounds_the_horizon():
     # Validation only: no model runs at the bound.
     for horizon in (2, 200):  # one year is too short for its year-1 benefit

@@ -8,6 +8,7 @@ array call over the same rows raises the first row's error.
 import math
 
 import numpy as np
+import pytest
 
 from airoi import valuation
 from airoi.costs import CapexItem
@@ -205,8 +206,7 @@ def test_roi_rule_keeps_the_one_row_bits(monkeypatch):
     portfolios = (small_portfolio(horizon=horizon), Portfolio("free", "EUR", horizon, 0.05),
                   overflow)
     config = SimulationConfig(iterations=5, master_seed=2)
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing cost rows
-        runs = [run_simulation(portfolio, config) for portfolio in portfolios]
+    runs = [run_simulation(portfolio, config) for portfolio in portfolios]
     interleaved = np.arange(15).reshape(3, 5).T.ravel()
     result = SimulationResult(
         **{name: np.concatenate([getattr(run, name) for run in runs])[interleaved]
@@ -264,7 +264,8 @@ def _f(flows: list[float], rate: float) -> float:
 
 def test_npv_at_has_the_bits_of_the_one_row_f():
     # By bit pattern, so a -0.0 where one row sums to 0.0 fails, as do the
-    # sign of an infinity and the fallback's choice.
+    # sign of an infinity and the fallback's choice.  The grid scan's f,
+    # over the whole grid in one window and at one rate alone, too.
     gen = RngStream(20_261_020, "valuation-f", 0).generator
     lo, hi = valuation._IRR_BRACKET
     step = (hi - lo) / valuation._IRR_GRID_POINTS
@@ -288,5 +289,109 @@ def test_npv_at_has_the_bits_of_the_one_row_f():
         expected = np.array([_f(row, rate) for row, rate in columns])
         differ = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
         assert differ.size == 0, [columns[i] for i in differ[:3]]
+
+        grid, factors, discounts = valuation._grid_table(horizon)
+        underflows = discounts[-1] == 0
+        years = np.array(rows).T
+        window = np.empty((grid.size, len(rows)))
+        with valuation._quiet():
+            valuation._npv_grid(years, discounts, factors, underflows, window)
+        for g in (0, 1, 7, 104, 511, 512):
+            alone = np.empty((1, len(rows)))
+            at = slice(g, g + 1)
+            with valuation._quiet():
+                valuation._npv_grid(years, discounts[:, at], factors[at], underflows[at], alone)
+            expected = np.array([_f(row, float(grid[g])) for row in rows]).view(np.uint64)
+            assert window[g].view(np.uint64).tolist() == expected.tolist(), g
+            assert alone[0].view(np.uint64).tolist() == expected.tolist(), g
     # One row sums -0.0 from 0.0 to 0.0.
     assert valuation._npv_at(np.array([[-0.0]]), np.array([0.1])).view(np.uint64).tolist() == [0]
+
+
+def _assert_irr_bits(flows: np.ndarray, expected: np.ndarray | None = None) -> None:
+    """``irr`` of the array against the one-row ``irr`` of each row, by bit pattern."""
+    if expected is None:
+        expected = np.array([math.nan if root is None else root for root in map(irr, flows)])
+    got = irr(flows)
+    differ = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+    assert differ.size == 0, [(flows[i].tolist(), got[i], expected[i]) for i in differ[:3]]
+
+
+def _grid_rate(index: int) -> float:
+    lo, hi = valuation._IRR_BRACKET
+    return lo + index * ((hi - lo) / valuation._IRR_GRID_POINTS)
+
+
+def _root_at(rate: float) -> list[float]:
+    """Flows with three sign changes whose f is (1 - u)(1 + u^2), u = (1 + rate) / (1 + x).
+
+    Each year's flow is the one-row scan's discount at ``rate``, so f at
+    ``rate`` itself sums 1, -1, 1, -1 to exactly 0; f is below 0 before it
+    and above 0 after it.
+    """
+    discount, row = 1.0, []
+    for sign in (1.0, -1.0, 1.0, -1.0):
+        row.append(sign * discount)
+        discount *= 1.0 + rate
+    return row
+
+
+def _scan_rows() -> list[list[float]]:
+    points = valuation._IRR_GRID_POINTS
+    rows = []
+    # f exactly 0 at a grid rate: the first, inside a window, at the last
+    # rate of an 8-rate window, and at the last rate of the grid.
+    for index in (1, 3, 8, 16, 300, points):
+        rows.append(_root_at(_grid_rate(index)))
+    # A sign change between two grid rates: straddling the edge of 8-rate
+    # windows, just before one, and before the last rate.
+    for index in (0, 7, 8, 15, 16, 299, points - 1):
+        rows.append(_root_at(0.5 * (_grid_rate(index) + _grid_rate(index + 1))))
+    # No root in the bracket.
+    rows += [[1.0, -1.0, 1.0, 0.0], [1.0, -3.0, 3.0, 0.0], [2.0, -1.0, 0.0, 1.0]]
+    return rows
+
+
+@pytest.mark.parametrize("cells", [1, 8, 10**9])
+def test_grid_scan_stops_where_the_one_row_scan_stops(monkeypatch, cells):
+    # One window of a rate, windows of cells // S rates, and the whole grid
+    # in one window: the same roots, bit for bit, as the one-row scan.
+    monkeypatch.setattr(valuation, "_SCAN_CELLS", cells)
+    rows = _scan_rows()
+    assert (cashflow_sign_changes(np.array(rows)) > 1).all()
+    _assert_irr_bits(np.array(rows))
+    for row in rows:  # one row scanning: with 8 cells, windows of 8 rates
+        _assert_irr_bits(np.array([row]))
+
+
+@pytest.mark.parametrize("cells", [1, 8, 10**9])
+def test_grid_scan_takes_the_fallback_over_a_long_horizon(monkeypatch, cells):
+    # At horizon 200 the discounts near the bracket's lower end underflow
+    # to 0 and sums of both signs overflow to nan: the Horner sign decides.
+    monkeypatch.setattr(valuation, "_SCAN_CELLS", cells)
+    gen = RngStream(20_261_018, "valuation-block", 2).generator
+    horizon = 200
+    rows = [
+        [1.0] + [-1.0] * (horizon - 3) + [1.0, 1.0],
+        [-1.0, 2.0] + [0.0] * (horizon - 4) + [-1e-13, 1e-17],
+        [1e300, -1e300] * (horizon // 2),
+    ]
+    rows += [row for row in _ordinary_rows(gen, horizon, 30) if cashflow_sign_changes(row) > 1]
+    _assert_irr_bits(np.array(rows))
+    # At the grid's second rate, year 197's discount is 0: its division
+    # gives +inf, a sum that is no nan, but the Horner sign is negative.
+    _assert_irr_bits(np.array([[1.0, -2.0] + [0.0] * 194 + [-1e-17, 1e-19]]))
+
+
+@pytest.mark.parametrize("cells", [1, 10**9])
+def test_grid_scan_of_one_row_among_many_ordinary_rows(monkeypatch, cells):
+    # 10^4 conventional rows and one with several roots: only that row
+    # scans, alone in its windows.
+    gen = RngStream(20_261_018, "valuation-block", 3).generator
+    flows = np.concatenate(
+        [-gen.uniform(1e5, 1e6, (10_000, 1)), gen.uniform(0.0, 4e5, (10_000, 4))], axis=1
+    )
+    flows[5_000] = [-100.0, 230.0, -132.0, 0.0, 0.0]  # roots at 0.1 and 0.2
+    assert (cashflow_sign_changes(flows) > 1).sum() == 1
+    monkeypatch.setattr(valuation, "_SCAN_CELLS", cells)
+    _assert_irr_bits(flows)
