@@ -189,12 +189,10 @@ def _resolve_simulation(config: PortfolioConfig, args) -> SimulationConfig | Non
         overrides["iterations"] = args.iterations
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if args.workers == "auto":
-        overrides["worker_count"] = None
-    elif args.workers is not None:
+    if args.workers is not None:
         try:
             overrides["worker_count"] = int(args.workers)
-        except ValueError:  # not a number: validate_simulation reports it as given
+        except ValueError:  # "auto" is read by SimulationConfig, the rest reported as given
             overrides["worker_count"] = args.workers
     sim = replace(config.simulation, **overrides)
     errors = validate_simulation(sim)

@@ -500,8 +500,6 @@ def parse_config(
         scenarios += parsed(penalties, "scenarios", _parse_penalty, turnover, prefix="penalties.")
 
     settings = _read(top["simulation"], "simulation", collector, _SIMULATION)
-    if settings["worker_count"] == "auto":
-        settings["worker_count"] = None  # the CPUs this process may run on
     simulation = SimulationConfig(**settings)
     for message in validate_simulation(simulation):
         collector.error("simulation", message)

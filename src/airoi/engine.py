@@ -29,6 +29,7 @@ from .model import (  # noqa: F401  (their former home: re-exported)
     validate_portfolio, validate_simulation,
 )
 from .quantities import sorted_percentile
+from .valuation import risk_adjusted_net
 
 # The per-iteration arrays of a SimulationResult, in IterationOutcome order:
 # the engine metrics, then the per-year rows.
@@ -363,7 +364,9 @@ class _StopRule:
 
     def stop(self, block: SimulationResult) -> int | None:
         """Rows of ``block`` up to the first step that meets the target, or None."""
-        nets = block.gross_benefits + block.risk_reduction - block.risk_increase - block.tco_total
+        nets = risk_adjusted_net(
+            block.gross_benefits, block.risk_reduction, block.risk_increase, block.tco_total
+        )
         for lo in range(0, nets.size, _EARLY_STOP_BLOCK):
             if self.reached(nets[lo : lo + _EARLY_STOP_BLOCK]):
                 return min(lo + _EARLY_STOP_BLOCK, nets.size)

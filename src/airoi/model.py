@@ -37,8 +37,12 @@ MAX_HORIZON_YEARS = 200
 class SimulationConfig:
     iterations: int = 10_000
     master_seed: int = 0
-    worker_count: int | None = 1  # None: the CPUs this process may run on
+    worker_count: int | None = 1  # None or "auto": the CPUs this process may run on
     target_relative_se: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.worker_count == "auto":
+            object.__setattr__(self, "worker_count", None)
 
 
 @dataclass(frozen=True)

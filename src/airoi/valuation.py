@@ -298,21 +298,30 @@ def _bisect(f, lo: float, hi: float, f_lo: float, tolerance: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _npv_at(years: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """The one-row ``irr``'s f on each column of years x rows flows, at its own rate."""
+def _npv_at(
+    years: np.ndarray, factors: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The one-row ``irr``'s f on each column of years x rows flows; ``factors`` is 1 + rate.
+
+    One factor per column values each column at its own rate; a rates x 1
+    column of factors values every column at each rate, rates x rows.
+    ``out``, if given, receives f.
+    """
     import numpy as np
 
-    factors = 1.0 + rates
-    discount = np.ones(rates.shape[0])
-    total = np.zeros(rates.shape[0])
-    for t, cf in enumerate(years):
-        if t:
-            discount *= factors
+    discount = np.ones_like(factors)
+    total = np.add(np.zeros_like(factors), years[0], out=out)  # 0.0 plus the first year over 1
+    for cf in years[1:]:
+        discount *= factors
         total += cf / discount
     # Once a discount underflows to 0 it stays 0, so the last one used tells.
-    fallback = np.flatnonzero(np.isnan(total) | (discount == 0))
-    if fallback.size:
-        total[fallback] = _beyond_range(years[:, fallback], factors[fallback])
+    fallback = np.isnan(total)
+    fallback[np.flatnonzero(discount == 0)] = True  # a column, or a rate's row
+    if fallback.any():
+        columns = np.nonzero(fallback)[-1]
+        total[fallback] = _beyond_range(
+            years[:, columns], np.broadcast_to(factors, total.shape)[fallback]
+        )
     return total
 
 
@@ -351,13 +360,13 @@ def _irr_rows(flows: np.ndarray) -> np.ndarray:
     tolerance = np.where(scaled > 1e-6, scaled, 1e-6)  # max(1e-6, scaled), nan included
     years = np.ascontiguousarray(flows.T)
     lo, hi = _IRR_BRACKET
-    f_lo = _npv_at(years, np.full(rows.size, lo))
+    f_lo = _npv_at(years, np.full(rows.size, 1.0 + lo))
     brackets = []  # (positions into rows, lower ends, upper ends, f at the lower ends)
 
     single = np.flatnonzero(changes == 1)
     roots[rows[single[f_lo[single] == 0.0]]] = lo
     single = single[f_lo[single] != 0.0]
-    f_hi = _npv_at(years[:, single], np.full(single.size, hi))
+    f_hi = _npv_at(years[:, single], np.full(single.size, 1.0 + hi))
     single = single[~(f_lo[single] * f_hi > 0)]
     brackets.append((single, np.full(single.size, lo), np.full(single.size, hi), f_lo[single]))
 
@@ -382,20 +391,19 @@ def _scan_grid(years: np.ndarray, f_lo: np.ndarray) -> tuple:
     f is 0 there (the root is that rate) rather than changing sign before
     the next one (the bracket); and f there.  ``f_lo`` is f at ``rates[0]``.
 
-    Every row reads the same grid, so the discounts (1 + x)**t, by the
-    one-row loop's repeated products, are one years x rates table.  Each
-    pass takes a window of ``max(1, _SCAN_CELLS // S)`` rates for the S rows
-    still scanning, so a few rows cross the grid in a few passes and many
-    rows cost one rate a pass, as one step of the one-row scan.  Within a
-    window each row stops where the one-row rule first would: at a rate
-    where f is 0, else before a sign change of f.
+    Each pass values the S rows still scanning at a window of
+    ``max(1, _SCAN_CELLS // S)`` grid rates, one ``_npv_at`` call on a
+    column of their factors, so a few rows cross the grid in a few passes
+    and many rows cost one rate a pass, as one step of the one-row scan.
+    Within a window each row stops where the one-row rule first would: at a
+    rate where f is 0, else before a sign change of f.
     """
     import numpy as np
 
     points = _IRR_GRID_POINTS
-    rates, factors, discounts = _grid_table(years.shape[0])
-    # Once a discount underflows to 0 it stays 0, so the last year's tells.
-    underflows = discounts[-1] == 0
+    lo, hi = _IRR_BRACKET
+    rates = lo + np.arange(points + 1) * ((hi - lo) / points)
+    factors = (1.0 + rates)[:, None]
 
     count = years.shape[1]
     first = np.full(count, -1)
@@ -406,10 +414,9 @@ def _scan_grid(years: np.ndarray, f_lo: np.ndarray) -> tuple:
     done = 0  # f_prev is f at rates[done]
     while at.size and done < points:
         width = min(max(1, _SCAN_CELLS // at.size), points - done)
-        window = slice(done + 1, done + 1 + width)
         f = np.empty((width + 1, at.size))  # f at rates[done : done + width + 1]
         f[0] = f_prev
-        _npv_grid(years, discounts[:, window], factors[window], underflows[window], f[1:])
+        _npv_at(years, factors[done + 1 : done + 1 + width], f[1:])
         # The one-row rule at each rate: f is 0 there, or changes sign before the next.
         hits = f[:-1] * f[1:] < 0
         hits |= f[:-1] == 0.0
@@ -430,55 +437,6 @@ def _scan_grid(years: np.ndarray, f_lo: np.ndarray) -> tuple:
     return rates, first, zero, f_first
 
 
-def _grid_table(horizon: int) -> tuple:
-    """``(rates, factors, discounts)``: the scan's grid rates, 1 + each, and years x rates.
-
-    A rate is ``lo + i * step`` and year t's discount (1 + rate)**t the
-    product of t factors, in order, as the one-row scan computes them.
-    """
-    import numpy as np
-
-    lo, hi = _IRR_BRACKET
-    rates = lo + np.arange(_IRR_GRID_POINTS + 1) * ((hi - lo) / _IRR_GRID_POINTS)
-    factors = 1.0 + rates
-    discounts = np.empty((horizon, rates.size))
-    discounts[0] = 1.0
-    discounts[1:] = factors
-    return rates, factors, np.multiply.accumulate(discounts)
-
-
-def _npv_grid(
-    years: np.ndarray,
-    discounts: np.ndarray,
-    factors: np.ndarray,
-    underflows: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """``_npv_at`` of every column of years x rows flows at each of a window's rates.
-
-    ``discounts`` is years x rates, ``factors`` 1 + each rate, and
-    ``underflows`` where a rate's last discount is 0; ``out`` is rates x rows.
-    """
-    import numpy as np
-
-    # One rate's discounts divide as floats: numpy's broadcasting loop costs
-    # more per call, which a few rows over a long horizon pay each year.
-    if len(out) == 1:
-        total, divisors = out[0], discounts[1:, 0].tolist()
-    else:
-        total, divisors = out, discounts[1:, :, None]
-    np.add(0.0, years[0], out=total)  # the first discount is 1
-    terms = np.empty_like(total)
-    for cf, discount in zip(years[1:], divisors):
-        np.divide(cf, discount, out=terms)
-        total += terms
-    fallback = np.isnan(out)
-    fallback[underflows] = True
-    if fallback.any():
-        at, rows = np.nonzero(fallback)
-        out[at, rows] = _beyond_range(years[:, rows], factors[at])
-
-
 def _bisect_rows(
     years: np.ndarray, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, tolerance: np.ndarray
 ) -> np.ndarray:
@@ -491,7 +449,7 @@ def _bisect_rows(
         if not at.size:
             return roots
         mid = 0.5 * (lo + hi)
-        f_mid = _npv_at(years, mid)
+        f_mid = _npv_at(years, 1.0 + mid)
         done = (mid == lo) | (mid == hi) | ((np.abs(f_mid) <= tolerance) & (hi - lo <= 1e-10))
         lower = f_lo * f_mid <= 0
         hi = np.where(lower, mid, hi)

@@ -440,12 +440,25 @@ def test_validate_simulation_checks_every_setting():
     for field, values in {
         "iterations": (0, -1, 2.0, True, "x", None),
         "master_seed": (-1, 2**64, 1.0, False, "x", None),
-        "worker_count": (0, -2, 1.5, True, "auto", "many"),
+        "worker_count": (0, -2, 1.5, True, "many"),
         "target_relative_se": (0, -1, math.inf, math.nan, True, "x", []),
     }.items():
         for value in values:
             errors = validate_simulation(dataclasses.replace(valid, **{field: value}))
             assert len(errors) == 1 and errors[0].startswith(field), (field, value)
+
+
+def test_worker_count_auto_is_read_once_by_the_run_settings():
+    # "auto", which validate_simulation's message offers, is None from a
+    # library caller too: every CPU this process may run on.
+    auto = SimulationConfig(iterations=100, master_seed=5, worker_count="auto")
+    assert auto == SimulationConfig(iterations=100, master_seed=5, worker_count=None)
+    assert validate_simulation(auto) == []
+    assert dataclasses.replace(SimulationConfig(), worker_count="auto").worker_count is None
+    # One block, so no pool starts: the rows of a one-worker run.
+    portfolio = small_portfolio()
+    one = run_simulation(portfolio, dataclasses.replace(auto, worker_count=1))
+    assert run_simulation(portfolio, auto).cash_flows.tobytes() == one.cash_flows.tobytes()
 
 
 def test_validate_simulation_caps_iterations():

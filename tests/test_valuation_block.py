@@ -264,18 +264,24 @@ def _f(flows: list[float], rate: float) -> float:
 
 def test_npv_at_has_the_bits_of_the_one_row_f():
     # By bit pattern, so a -0.0 where one row sums to 0.0 fails, as do the
-    # sign of an infinity and the fallback's choice.  The grid scan's f,
-    # over the whole grid in one window and at one rate alone, too.
+    # sign of an infinity and the fallback's choice.  Both shapes of the
+    # factors: one per column, and the grid scan's column of rates, the
+    # whole grid at once and each of a few grid rates alone.
     gen = RngStream(20_261_020, "valuation-f", 0).generator
     lo, hi = valuation._IRR_BRACKET
     step = (hi - lo) / valuation._IRR_GRID_POINTS
     rates = [lo, hi, lo + step, lo + 7 * step, lo + 104 * step, 0.5 * (lo + hi)]
     special = [0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan, 1.0, -1.0, 5e-324]
-    for horizon in (1, 2, 5, 40, 200):
+    grid = lo + np.arange(valuation._IRR_GRID_POINTS + 1) * step
+    for horizon in (1, 2, 5, 40, 109, 200):
         rows = [[0.0] * horizon, [-0.0] * horizon, [-0.0] + [0.0] * (horizon - 1)]
         # A tiny last flow: the discount that divides it underflows at the
         # lower bracket end over a long horizon, and the Horner sign decides.
         rows += [[-1.0] + [0.0] * (horizon - 2) + [1e-17] * min(1, horizon - 1)]
+        # At horizon 109 and the lower end only the last discount is 0: its
+        # +inf is no nan, but the Horner sign is negative.
+        if horizon >= 3:
+            rows.append([-1.0] + [0.0] * (horizon - 3) + [-1e-13, 1e-17])
         rows += [[1e308] * horizon, [-1.0] * (horizon - 1) + [1e308]]
         for _ in range(60):
             row = gen.normal(0.0, 1e4, horizon)
@@ -285,27 +291,23 @@ def test_npv_at_has_the_bits_of_the_one_row_f():
         columns = [(row, rate) for row in rows for rate in rates]
         years = np.array([row for row, _ in columns]).T
         with valuation._quiet():
-            got = valuation._npv_at(years, np.array([rate for _, rate in columns]))
+            got = valuation._npv_at(years, 1.0 + np.array([rate for _, rate in columns]))
         expected = np.array([_f(row, rate) for row, rate in columns])
         differ = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
         assert differ.size == 0, [columns[i] for i in differ[:3]]
 
-        grid, factors, discounts = valuation._grid_table(horizon)
-        underflows = discounts[-1] == 0
         years = np.array(rows).T
-        window = np.empty((grid.size, len(rows)))
+        window = np.empty((grid.size, len(rows)))  # written in place, as the scan's
         with valuation._quiet():
-            valuation._npv_grid(years, discounts, factors, underflows, window)
+            valuation._npv_at(years, (1.0 + grid)[:, None], window)
         for g in (0, 1, 7, 104, 511, 512):
-            alone = np.empty((1, len(rows)))
-            at = slice(g, g + 1)
             with valuation._quiet():
-                valuation._npv_grid(years, discounts[:, at], factors[at], underflows[at], alone)
+                alone = valuation._npv_at(years, np.array([[1.0 + grid[g]]]))
             expected = np.array([_f(row, float(grid[g])) for row in rows]).view(np.uint64)
             assert window[g].view(np.uint64).tolist() == expected.tolist(), g
             assert alone[0].view(np.uint64).tolist() == expected.tolist(), g
     # One row sums -0.0 from 0.0 to 0.0.
-    assert valuation._npv_at(np.array([[-0.0]]), np.array([0.1])).view(np.uint64).tolist() == [0]
+    assert valuation._npv_at(np.array([[-0.0]]), np.array([1.1])).view(np.uint64).tolist() == [0]
 
 
 def _assert_irr_bits(flows: np.ndarray, expected: np.ndarray | None = None) -> None:
